@@ -204,9 +204,8 @@ class Reporter:
 
 
 def _cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    # np.float64 subclasses float, and its repr is "np.float64(...)"
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
 
@@ -276,8 +275,8 @@ def cmd_duality(config, rep: Reporter) -> bool:
     worst = 0.0
     mults_ok = True
     for lam in lams:
-        for j in range(1, k + 1):
-            r = duality_check(sys_, float(lam), j)
+        for j, r in enumerate(duality_check(sys_, float(lam),
+                                            range(1, k + 1)), start=1):
             rows.append((lam, j, r.mu, r.residual, r.reverse_residual,
                          r.steklov_multiplicity, r.robin_multiplicity,
                          r.multiplicity_match))

@@ -21,9 +21,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import AssembledSystem, assemble, dump_matrix
+from .assemble import AssembledSystem, assemble, dirichlet_system, dump_matrix
 from .coeffs import CoefficientSet
-from .errors import NearDirichletSpectrumError, SolverError
+from .errors import NearDirichletSpectrumError
 
 __all__ = [
     "DtnMatrix",
@@ -241,22 +241,20 @@ def coercivity_report(sys: AssembledSystem, lam: float, trials: int,
 
 
 def nearest_dirichlet_eigenvalue(sys: AssembledSystem, lam: float) -> float:
-    """Eigenvalue of the interior (Dirichlet) pencil closest to lam."""
-    idx = sys.interior_dofs
-    if len(idx) == 0:
+    """Eigenvalue of the interior (Dirichlet) pencil closest to lam.
+
+    An inertia count gives the number c of eigenvalues below lam; the
+    nearest one is the c-th or the (c+1)-th smallest.
+    """
+    from .spectral import eigenvalue_count, sym_geneig  # spectral imports dtn
+
+    n_int = len(sys.interior_dofs)
+    if n_int == 0:
         return float("inf")
-    A_D = sys.A[idx, :][:, idx]
-    M_D = sys.M[idx, :][:, idx]
-    if len(idx) <= 1200:
-        vals = scipy.linalg.eigh(A_D.toarray(), M_D.toarray(),
-                                 eigvals_only=True)
-        return float(vals[np.argmin(np.abs(vals - lam))])
-    try:
-        vals = spla.eigsh(A_D.tocsc(), k=1, M=M_D.tocsc(), sigma=lam,
-                          which="LM", return_eigenvectors=False)
-        return float(vals[0])
-    except Exception as exc:
-        raise SolverError(f"shift-invert solve failed near {lam}") from exc
+    A_D, M_D = dirichlet_system(sys)
+    below = eigenvalue_count(A_D, M_D, lam)
+    vals = sym_geneig(A_D, M_D, min(below + 1, n_int)).eigenvalues
+    return float(vals[np.argmin(np.abs(vals - lam))])
 
 
 def smoothness_check(sys: AssembledSystem, lam: float,

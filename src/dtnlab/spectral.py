@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .assemble import AssembledSystem, assemble, dirichlet_system, robin_matrix
 from .coeffs import CoefficientSet, Diffeo, mass_weight, pullback, transport_mesh
@@ -36,6 +38,7 @@ __all__ = [
     "LimitStudy",
     "GaugeStudy",
     "sym_geneig",
+    "eigenvalue_count",
     "cluster_indices",
     "dirichlet_spectrum",
     "robin_spectrum",
@@ -51,14 +54,33 @@ __all__ = [
 
 CLUSTER_RTOL = 1e-6
 
+# Sparse pencils with more rows than this go to shift-invert Lanczos;
+# smaller or dense ones to LAPACK.
+SPARSE_MIN_N = 300
+NCV_MIN = 24             # floor on the Lanczos basis size
+STEP_RTOL = 1e-2         # first step below a shift guess, per pencil scale
+BISECT_STEPS = 4
+MAX_STEPS = 60
+# Computed eigenvalues closer than this times the pencil scale are one
+# cluster for the inertia certificate.
+INERTIA_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with G-orthonormal eigenvectors."""
+    """Ascending eigenvalues with G-orthonormal eigenvectors.
+
+    solver is "dense" (LAPACK) or "sparse" (shift-invert Lanczos).  On the
+    sparse path inertia is the certified Sylvester count: the number of
+    pencil eigenvalues below the certification point (see sym_geneig);
+    it is None on the dense path.
+    """
 
     eigenvalues: np.ndarray    # (k,)
     eigenvectors: np.ndarray   # (n, k)
     residual_max: float
+    solver: str
+    inertia: int | None
 
 
 @dataclass(frozen=True)
@@ -124,26 +146,52 @@ class GaugeStudy:
     identity_residual: float
 
 
-def sym_geneig(K, G, k: int) -> Spectrum:
+def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
     """k smallest eigenpairs of K v = lambda G v, G-orthonormal.
 
     K must be symmetric (to 1e-8 relative; tiny asymmetry is averaged
-    away) and G symmetric positive definite.  Solved by reduction to a
-    standard symmetric problem (LAPACK); deterministic for fixed input.
+    away) and G symmetric positive definite.  Deterministic for fixed
+    input.  Two paths, chosen from the input:
+
+    - dense: dense input, sparse pencils of at most SPARSE_MIN_N rows, and
+      k above a quarter of the size.  Reduction to a standard symmetric
+      problem (LAPACK).
+    - sparse: every other sparse pencil.  K - sigma*G is factored by
+      SuperLU without row pivoting, with sigma below the whole spectrum,
+      and that factorization drives shift-invert Lanczos (ARPACK) for the
+      k+1 eigenpairs nearest sigma.
+
+    Certificate (sparse path): without row pivoting the factorization is
+    an LDL^T one, so by Sylvester's law of inertia its negative pivots
+    count the eigenvalues below the shift.  Exactly k must lie below the
+    midpoint of the k-th and (k+1)-th computed eigenvalues; when those two
+    form one cluster (closer than INERTIA_RTOL times the pencil scale),
+    the count just below that cluster must equal the number of computed
+    eigenvalues below it.  A failed count is retried once from a lower
+    shift and then raises SolverError; uncertified pairs are never
+    returned.
+
+    shift_hint is a value believed to lie below the spectrum, such as the
+    smallest eigenvalue of a pencil known to bound this one from below.
+    The sparse path uses it as the shift when an inertia count confirms
+    it; the dense path ignores it.
     """
-    K = np.asarray(K.toarray() if hasattr(K, "toarray") else K, dtype=float)
-    G = np.asarray(G.toarray() if hasattr(G, "toarray") else G, dtype=float)
+    use_sparse = (sp.issparse(K) and K.shape[0] > SPARSE_MIN_N
+                  and 4 * (k + 1) <= K.shape[0])
+    if use_sparse:
+        K, G = sp.csc_matrix(K), sp.csc_matrix(G)
+    else:
+        K = np.asarray(K.toarray() if sp.issparse(K) else K, dtype=float)
+        G = np.asarray(G.toarray() if sp.issparse(G) else G, dtype=float)
     n = K.shape[0]
     if K.shape != (n, n) or G.shape != (n, n):
         raise ValueError("K and G must be square and of equal size")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    for name, mat in (("K", K), ("G", G)):
-        scale = np.abs(mat).max() or 1.0
-        if np.abs(mat - mat.T).max() > 1e-8 * scale:
-            raise ValueError(f"{name} is not symmetric")
-    K = 0.5 * (K + K.T)
-    G = 0.5 * (G + G.T)
+    K = _symmetrized("K", K)
+    G = _symmetrized("G", G)
+    if use_sparse:
+        return _sparse_geneig(K, G, k, shift_hint)
     try:
         scipy.linalg.cholesky(G)
     except scipy.linalg.LinAlgError as exc:
@@ -152,13 +200,160 @@ def sym_geneig(K, G, k: int) -> Spectrum:
         vals, vecs = scipy.linalg.eigh(K, G, subset_by_index=[0, k - 1])
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"generalized eigensolver failed: {exc}") from exc
-    resid = 0.0
-    K_scale = np.abs(K).max() or 1.0
-    for i in range(k):
-        r = K @ vecs[:, i] - vals[i] * (G @ vecs[:, i])
-        resid = max(resid, float(np.linalg.norm(r)
-                                 / (K_scale * np.linalg.norm(vecs[:, i]))))
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, residual_max=resid)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs,
+                    residual_max=_residual_max(K, G, vals, vecs),
+                    solver="dense", inertia=None)
+
+
+def eigenvalue_count(K, G, sigma: float) -> int:
+    """Number of eigenvalues of the sparse pencil (K, G) below sigma.
+
+    G must be symmetric positive definite.  Raises SolverError when the
+    count is not available: K - sigma*G singular (sigma is an
+    eigenvalue) or not factorable without row pivoting.
+    """
+    K = _symmetrized("K", sp.csc_matrix(K))
+    G = _symmetrized("G", sp.csc_matrix(G))
+    _, below = _ldl(K - sigma * G)
+    if below is None:
+        raise SolverError(f"no inertia count at {sigma!r}")
+    return below
+
+
+def _symmetrized(name, mat):
+    scale = abs(mat).max() or 1.0
+    if abs(mat - mat.T).max() > 1e-8 * scale:
+        raise ValueError(f"{name} is not symmetric")
+    return 0.5 * (mat + mat.T)
+
+
+def _residual_max(K, G, vals, vecs):
+    K_scale = abs(K).max() or 1.0
+    R = K @ vecs - (G @ vecs) * vals
+    return float(np.max(np.linalg.norm(R, axis=0)
+                        / (K_scale * np.linalg.norm(vecs, axis=0))))
+
+
+def _ldl(C):
+    """SuperLU factorization of symmetric sparse C and its negative pivots.
+
+    With diagonal pivots only (perm_r == perm_c) C = P^T L D L^T P with
+    D = diag(U), so the negative pivots count the negative eigenvalues of
+    C.  Returns (None, None) when C is singular or SuperLU pivoted off the
+    diagonal.
+    """
+    try:
+        lu = spla.splu(C.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError:        # "Factor is exactly singular"
+        return None, None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None, None
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _shift_invert(K, G, sigma, lu, nev):
+    """The nev eigenpairs of (K, G) nearest sigma, ascending.
+
+    lu factors K - sigma*G.  The fixed start vector makes repeated solves
+    bit-identical.  It is pseudo-random because G @ ones is orthogonal to
+    every eigenvector that is odd under an exact symmetry of the pencil.
+    """
+    n = K.shape[0]
+    nev = min(nev, n - 1)
+    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    vals, vecs = spla.eigsh(
+        K, k=nev, M=G, sigma=sigma, which="LM", OPinv=op,
+        ncv=min(n, max(2 * nev + 1, NCV_MIN)),
+        v0=np.random.default_rng(0).standard_normal(n))
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _shift_below(K, G, scale, hint):
+    """A shift below the whole spectrum of (K, G) and its factorization.
+
+    A hint (moved off itself by the cluster tolerance, in case it is an
+    eigenvalue) is taken when the count confirms it.  Otherwise the shift
+    steps down from the hint, or from the Rayleigh quotient of the
+    constant vector (an upper bound on the smallest eigenvalue), with
+    doubling steps until no eigenvalue lies below, then bisects toward the
+    last shift that had eigenvalues below it so that it ends close under
+    the smallest eigenvalue.
+    """
+    if hint is not None:
+        hi = hint - INERTIA_RTOL * scale
+        lu, below = _ldl(K - hi * G)
+        if below == 0:
+            return hi, lu
+    else:
+        one = np.ones(K.shape[0])
+        hi = float(one @ (K @ one)) / float(one @ (G @ one))
+    step = max(abs(hi), STEP_RTOL * scale)
+    for _ in range(MAX_STEPS):
+        lo = hi - step
+        lu, below = _ldl(K - lo * G)
+        if below == 0:
+            break
+        hi, step = lo, 2.0 * step
+    else:
+        raise SolverError("found no shift below the spectrum")
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        lu_mid, below = _ldl(K - mid * G)
+        if below == 0:
+            lo, lu = mid, lu_mid
+        else:
+            hi = mid
+    return lo, lu
+
+
+def _certificate_point(vals, k, tol):
+    """Where to count, and the count proving vals[:k] the k smallest.
+
+    vals holds k+1 ascending eigenvalues.  Exactly k lie below the
+    midpoint of vals[k-1] and vals[k] unless those two are one cluster;
+    then the count just below the cluster must equal the number of
+    computed eigenvalues below it, and min-max places the cluster's
+    computed members among the k smallest.
+    """
+    j = k
+    while j > 0 and vals[j] - vals[j - 1] <= tol:
+        j -= 1
+    if j == k:
+        return 0.5 * (vals[k - 1] + vals[k]), k
+    return vals[j] - 0.5 * tol, j
+
+
+def _sparse_geneig(K, G, k, shift_hint):
+    if _ldl(G)[1] != 0:
+        raise NotPositiveDefiniteError("G is not positive definite")
+    scale = spla.norm(K, 1) / spla.norm(G, 1) or 1.0
+    tol = INERTIA_RTOL * scale
+    sigma, lu = _shift_below(K, G, scale, shift_hint)
+    for attempt in range(2):
+        if attempt:
+            # a lower shift gives Lanczos a different spectral transform
+            sigma -= max(abs(sigma), STEP_RTOL * scale)
+            lu, _ = _ldl(K - sigma * G)
+            if lu is None:
+                break
+        try:
+            vals, vecs = _shift_invert(K, G, sigma, lu, k + 1)
+        except spla.ArpackError as exc:
+            reason = str(exc)
+            continue
+        point, expected = _certificate_point(vals, k, tol)
+        _, below = _ldl(K - point * G)
+        if below == expected:
+            return Spectrum(eigenvalues=vals[:k], eigenvectors=vecs[:, :k],
+                            residual_max=_residual_max(K, G, vals[:k],
+                                                       vecs[:, :k]),
+                            solver="sparse", inertia=below)
+        reason = (f"inertia count {below} below {point!r}, "
+                  f"expected {expected}")
+    raise SolverError(f"sparse eigensolve not certified: {reason}")
 
 
 def cluster_indices(values, rtol: float = CLUSTER_RTOL):
@@ -184,9 +379,13 @@ def dirichlet_spectrum(sys: AssembledSystem, k: int) -> Spectrum:
     return sym_geneig(A_D, M_D, k)
 
 
-def robin_spectrum(sys: AssembledSystem, mu: float, k: int) -> Spectrum:
-    """k smallest eigenpairs of (A - mu*B, M) on the free dofs."""
-    return sym_geneig(robin_matrix(sys, mu), sys.M, k)
+def robin_spectrum(sys: AssembledSystem, mu: float, k: int,
+                   shift_hint: float | None = None) -> Spectrum:
+    """k smallest eigenpairs of (A - mu*B, M) on the free dofs.
+
+    shift_hint is passed to sym_geneig.
+    """
+    return sym_geneig(robin_matrix(sys, mu), sys.M, k, shift_hint=shift_hint)
 
 
 def steklov_spectrum(sys: AssembledSystem, lam: float, k: int) -> Spectrum:
@@ -195,21 +394,30 @@ def steklov_spectrum(sys: AssembledSystem, lam: float, k: int) -> Spectrum:
     return sym_geneig(d.S, d.Bb, k)
 
 
-def _robin_eigs_near(sys, mu, lam, margin):
-    """Robin eigenpairs with eigenvalue within margin of lam."""
-    K = robin_matrix(sys, mu).toarray()
-    M = sys.M.toarray()
-    K = 0.5 * (K + K.T)
-    if sys.n_free <= 1500:
-        vals, vecs = scipy.linalg.eigh(K, M)
-    else:
-        vals, vecs = scipy.linalg.eigh(
-            K, M, subset_by_value=(lam - margin, lam + margin))
-    keep = np.abs(vals - lam) <= margin
-    return vals[keep], vecs[:, keep]
+def _robin_pairs_at(sys, mu, lam, tol):
+    """Robin eigenvectors at parameter mu with eigenvalue within tol of lam.
+
+    Inertia counts at lam - tol and lam + tol give their number exactly;
+    shift-invert at lam + tol computes them (never at lam, an eigenvalue
+    by construction, where the factorization is singular).
+    """
+    K = _symmetrized("K", robin_matrix(sys, mu))
+    _, below = _ldl(K - (lam - tol) * sys.M)
+    lu, upto = _ldl(K - (lam + tol) * sys.M)
+    if below is None or upto is None:
+        raise SolverError(f"no inertia count near {lam!r} at mu={mu!r}")
+    mult = upto - below
+    if mult == 0:
+        return np.zeros((sys.n_free, 0))
+    vals, vecs = _shift_invert(K, sys.M, lam + tol, lu, mult + 1)
+    keep = np.abs(vals - lam) <= tol
+    if np.count_nonzero(keep) != mult:
+        raise SolverError(f"found {np.count_nonzero(keep)} of {mult} Robin "
+                          f"eigenvalues near {lam!r} at mu={mu!r}")
+    return vecs[:, keep]
 
 
-def duality_check(sys: AssembledSystem, lam: float, j: int) -> DualityResult:
+def duality_check(sys: AssembledSystem, lam: float, j):
     """Check the two-way eigenpair correspondence at boundary index j.
 
     Forward: the j-th boundary eigenpair (mu_j, phi_j) of (S(lam), Bb)
@@ -217,46 +425,51 @@ def duality_check(sys: AssembledSystem, lam: float, j: int) -> DualityResult:
     (A - lam M - mu_j B) u = 0 to solver tolerance.  Reverse: the Robin
     pencil at mu_j must have an eigenvalue cluster at lam whose
     eigenvectors restrict to boundary eigenvectors, with equal cluster
-    size (multiplicities agree).  j is 1-based.
+    size (multiplicities agree).  j is 1-based.  For a sequence of
+    indices a list of results is returned; the Schur complement, the
+    boundary spectrum and the norm of A are computed once for all.
     """
+    js = list(j) if np.ndim(j) else [j]
     d = dtn_matrix(sys, lam)
     b = d.S.shape[0]
-    if not 1 <= j <= b:
-        raise ValueError(f"boundary index j must be in [1, {b}], got {j}")
+    for jj in js:
+        if not 1 <= jj <= b:
+            raise ValueError(
+                f"boundary index j must be in [1, {b}], got {jj}")
     spec = sym_geneig(d.S, d.Bb, b)
-    mu_j = float(spec.eigenvalues[j - 1])
-    phi_j = spec.eigenvectors[:, j - 1]
-
-    ext = harmonic_extension(sys, lam, phi_j)
-    R = sys.A - lam * sys.M - mu_j * sys.B
-    A_norm = scipy.linalg.norm(sys.A.toarray())
-    residual = float(np.linalg.norm(R @ ext.u)
-                     / (A_norm * np.linalg.norm(ext.u)))
-
-    tol_mu = CLUSTER_RTOL * max(1.0, abs(mu_j))
-    s_mult = int(np.sum(np.abs(spec.eigenvalues - mu_j) <= tol_mu))
-
-    margin = 100 * CLUSTER_RTOL * max(1.0, abs(lam))
-    rvals, rvecs = _robin_eigs_near(sys, mu_j, lam, margin)
+    A_norm = spla.norm(sys.A)
+    S_norm = np.abs(d.S).max() or 1.0
     tol_lam = CLUSTER_RTOL * max(1.0, abs(lam))
-    keep = np.abs(rvals - lam) <= tol_lam
-    r_mult = int(np.sum(keep))
-    reverse = float("inf")
-    if r_mult:
-        S_norm = np.abs(d.S).max() or 1.0
-        reverse = 0.0
-        for w in rvecs[:, keep].T:
-            psi = w[sys.boundary_dofs]
-            rr = np.linalg.norm(d.S @ psi - mu_j * (d.Bb @ psi))
-            reverse = max(reverse, float(rr / (S_norm * np.linalg.norm(psi))))
-    return DualityResult(
-        mu=mu_j,
-        residual=residual,
-        reverse_residual=reverse,
-        steklov_multiplicity=s_mult,
-        robin_multiplicity=r_mult,
-        multiplicity_match=(s_mult == r_mult),
-    )
+    C = sys.A - lam * sys.M
+    results = []
+    for jj in js:
+        mu_j = float(spec.eigenvalues[jj - 1])
+        ext = harmonic_extension(sys, lam, spec.eigenvectors[:, jj - 1])
+        residual = float(np.linalg.norm(C @ ext.u - mu_j * (sys.B @ ext.u))
+                         / (A_norm * np.linalg.norm(ext.u)))
+
+        tol_mu = CLUSTER_RTOL * max(1.0, abs(mu_j))
+        s_mult = int(np.sum(np.abs(spec.eigenvalues - mu_j) <= tol_mu))
+
+        rvecs = _robin_pairs_at(sys, mu_j, lam, tol_lam)
+        r_mult = rvecs.shape[1]
+        reverse = float("inf")
+        if r_mult:
+            reverse = 0.0
+            for w in rvecs.T:
+                psi = w[sys.boundary_dofs]
+                rr = np.linalg.norm(d.S @ psi - mu_j * (d.Bb @ psi))
+                reverse = max(reverse,
+                              float(rr / (S_norm * np.linalg.norm(psi))))
+        results.append(DualityResult(
+            mu=mu_j,
+            residual=residual,
+            reverse_residual=reverse,
+            steklov_multiplicity=s_mult,
+            robin_multiplicity=r_mult,
+            multiplicity_match=(s_mult == r_mult),
+        ))
+    return results if np.ndim(j) else results[0]
 
 
 def eigen_curves(sys: AssembledSystem, mu_min: float, mu_max: float,
@@ -265,19 +478,24 @@ def eigen_curves(sys: AssembledSystem, mu_min: float, mu_max: float,
 
     Pairing by index keeps crossings inside clusters benign; each row
     must be non-increasing in mu, and the worst increase found is
-    reported (not raised).
+    reported (not raised).  The grid is solved from the largest mu down:
+    the curves are non-increasing, so each smallest eigenvalue bounds the
+    next pencil's spectrum from below and is its shift hint (an inertia
+    count checks it each time).
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     grid = np.linspace(mu_min, mu_max, steps)
-
-    def solve(mu):
+    columns = [None] * steps
+    hint = None
+    for s in reversed(range(steps)):
         try:
-            return robin_spectrum(sys, mu, k).eigenvalues
+            columns[s] = robin_spectrum(sys, grid[s], k,
+                                        shift_hint=hint).eigenvalues
         except Exception as exc:
-            raise SolverError(f"Robin solve failed at mu={mu}: {exc}") from exc
-
-    columns = parallel_map(solve, grid)
+            raise SolverError(
+                f"Robin solve failed at mu={grid[s]}: {exc}") from exc
+        hint = float(columns[s][0])
     values = np.column_stack(columns)
     clusters = [cluster_indices(col) for col in columns]
     max_violation = float(np.max(np.diff(values, axis=1))) if steps > 1 else 0.0
@@ -361,13 +579,13 @@ def match_and_unitary(sysA: AssembledSystem, sysB: AssembledSystem,
     orthogonality_defect = float(np.abs(G - np.eye(k)).max())
 
     A_mu_B = robin_matrix(sysB, mu)
-    scaleB = (scipy.linalg.norm(sysB.A.toarray())
-              + abs(mu) * scipy.linalg.norm(sysB.B.toarray()))
+    scaleB = spla.norm(sysB.A) + abs(mu) * spla.norm(sysB.B)
+    M_norm = spla.norm(M_B)
     conj = 0.0
     for i in range(k):
         lam_a = specA.eigenvalues[i]
         r = A_mu_B @ Psi[:, i] - lam_a * (M_B @ Psi[:, i])
-        s = (scaleB + abs(lam_a) * scipy.linalg.norm(sysB.M.toarray()))
+        s = scaleB + abs(lam_a) * M_norm
         conj = max(conj, float(np.linalg.norm(r)
                                / (s * np.linalg.norm(Psi[:, i]))))
 

@@ -55,6 +55,35 @@ def test_curves_deterministic(tmp_path, fast_config):
     assert b1 == b2
 
 
+def test_curves_deterministic_sparse_path(tmp_path):
+    # n = 24 gives 600 free dofs, so every Robin solve takes the sparse path
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        FAST_CONFIG, domain={"type": "square", "n": 24},
+        mu_grid={"min": -5.0, "max": 5.0, "steps": 11})))
+    outs = []
+    for sub in ("r1", "r2"):
+        assert run(["curves", "--config", str(path),
+                    "--out", str(tmp_path / sub), "--quiet"]) == 0
+        outs.append((tmp_path / sub / "curves.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_spectrum_cells_parse_as_numbers(tmp_path, fast_config):
+    out = tmp_path / "r"
+    assert run(["spectrum", "--config", fast_config, "--out", str(out),
+                "--quiet"]) == 0
+    rows = (out / "spectrum.csv").read_text().splitlines()[2:]
+    assert rows
+    for row in rows:
+        kind, parameter, index, value = row.split(",")
+        assert kind in ("dirichlet", "robin", "steklov")
+        if parameter:
+            float(parameter)
+        int(index)
+        float(value)
+
+
 def test_output_headers_and_resolved_config(tmp_path, fast_config):
     out = tmp_path / "r"
     assert run(["spectrum", "--config", fast_config, "--out", str(out),

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from dtnlab.assemble import assemble
+from dtnlab.assemble import assemble, robin_matrix
 from dtnlab.coeffs import CoefficientSet, certify, radial_bump_diffeo
-from dtnlab.errors import NotPositiveDefiniteError
+from dtnlab.errors import DtnLabError, NotPositiveDefiniteError, SolverError
 from dtnlab.mesh import build_structured_square, partition_boundary
 from dtnlab.spectral import (
     cluster_indices,
@@ -15,6 +17,7 @@ from dtnlab.spectral import (
     dtn_equality_check,
     duality_check,
     eigen_curves,
+    eigenvalue_count,
     gauge_experiment,
     lambda_in_gaps,
     match_and_unitary,
@@ -85,6 +88,99 @@ def test_sym_geneig_bounds_k():
         sym_geneig(np.eye(3), np.eye(3), 4)
 
 
+def dense_values(K, G, k):
+    return scipy.linalg.eigh(K.toarray(), G.toarray(), eigvals_only=True,
+                             subset_by_index=[0, k - 1])
+
+
+@pytest.fixture(scope="module")
+def mixed24():
+    # 600 free dofs: above the sparse-path threshold
+    return square_system(n=24, gamma0_sides=("left",))
+
+
+def test_sym_geneig_dense_path_reported():
+    sys_ = square_system(n=8, gamma0_sides=("left",))
+    spec = robin_spectrum(sys_, 0.0, 3)
+    assert spec.solver == "dense"
+    assert spec.inertia is None
+
+
+@pytest.mark.parametrize("mu", [-50.0, 0.0, 50.0])
+def test_sparse_path_matches_dense(mixed24, mu):
+    k = 6
+    spec = robin_spectrum(mixed24, mu, k)
+    want = dense_values(robin_matrix(mixed24, mu), mixed24.M, k)
+    assert spec.solver == "sparse"
+    assert spec.inertia == k
+    np.testing.assert_allclose(spec.eigenvalues, want,
+                               rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    V = spec.eigenvectors
+    np.testing.assert_allclose(V.T @ (mixed24.M @ V), np.eye(k), atol=1e-8)
+    assert spec.residual_max <= 1e-12
+    if mu == 50.0:
+        assert want[0] < -4000.0
+
+
+def test_sparse_path_cluster_straddling_k():
+    # symmetric square without gamma0: lambda_2 and lambda_3 form a pair
+    sys_ = square_system(n=24, gamma0_sides=())
+    K = robin_matrix(sys_, 0.0)
+    want = dense_values(K, sys_.M, 3)
+    assert want[2] - want[1] <= 1e-6 * want[1]
+    spec = sym_geneig(K, sys_.M, 2)
+    assert spec.solver == "sparse"
+    # certified below the cluster: only lambda_1 lies below it
+    assert spec.inertia == 1
+    np.testing.assert_allclose(spec.eigenvalues, want[:2],
+                               rtol=1e-10, atol=1e-10 * want[2])
+
+
+def test_sparse_path_rejects_dropped_pair(mixed24, monkeypatch):
+    real = spla.eigsh
+
+    def drop_lowest(A, k, **kwargs):
+        vals, vecs = real(A, k=k + 1, **kwargs)
+        order = np.argsort(vals)[1:]
+        return vals[order], vecs[:, order]
+
+    monkeypatch.setattr(spla, "eigsh", drop_lowest)
+    with pytest.raises(SolverError) as info:
+        robin_spectrum(mixed24, 0.0, 4)
+    assert isinstance(info.value, DtnLabError)
+
+
+def test_sparse_path_rejects_indefinite_G():
+    n = 400
+    G = sp.diags(np.r_[-1.0, np.ones(n - 1)]).tocsr()
+    with pytest.raises(NotPositiveDefiniteError):
+        sym_geneig(sp.identity(n, format="csr"), G, 2)
+
+
+def test_shift_hint_below_and_above_spectrum(mixed24):
+    want = robin_spectrum(mixed24, 10.0, 4).eigenvalues
+    for hint in (want[0] - 1.0, want[3] + 5.0):
+        spec = robin_spectrum(mixed24, 10.0, 4, shift_hint=hint)
+        np.testing.assert_allclose(spec.eigenvalues, want,
+                                   rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def test_eigen_curves_sparse_matches_dense(mixed24):
+    curve = eigen_curves(mixed24, -20.0, 20.0, 5, 3)
+    for s, mu in enumerate(curve.mu_grid):
+        want = dense_values(robin_matrix(mixed24, mu), mixed24.M, 3)
+        np.testing.assert_allclose(curve.values[:, s], want,
+                                   rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+def test_eigenvalue_count_matches_dense(mixed24):
+    K = robin_matrix(mixed24, 5.0)
+    vals = scipy.linalg.eigh(K.toarray(), mixed24.M.toarray(),
+                             eigvals_only=True)
+    for sigma in (vals[0] - 1.0, 0.5 * (vals[4] + vals[5]), 100.0):
+        assert eigenvalue_count(K, mixed24.M, sigma) == np.sum(vals < sigma)
+
+
 def test_cluster_indices():
     vals = np.array([1.0, 1.0 + 1e-9, 2.0, 3.0, 3.0, 3.0])
     groups = cluster_indices(vals)
@@ -152,6 +248,13 @@ def test_duality_multiplicity_cluster():
     assert r.steklov_multiplicity == 2
     assert r.robin_multiplicity == 2
     assert r.multiplicity_match
+
+
+def test_duality_sequence_matches_single_indices():
+    sys_ = square_system(n=8, gamma0_sides=("left",))
+    together = duality_check(sys_, 0.0, [1, 2, 3])
+    for j, r in zip((1, 2, 3), together):
+        assert r == duality_check(sys_, 0.0, j)
 
 
 def test_duality_index_out_of_bounds():
