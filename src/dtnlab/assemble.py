@@ -7,6 +7,11 @@ partition, numbered in vertex order.  Variable coefficients are sampled
 with the edge-midpoint triangle rule (order 2, exact for quadratics);
 boundary edge integration is exact for the P1 product, with an optional
 lumped (trapezoid) variant used by the semigroup positivity studies.
+
+The coefficient samples taken for assembly are also the only source of
+the ellipticity certificate: every AssembledSystem carries its samples
+and the eta/symmetry verdict computed from them, so downstream checks
+neither sample again nor trust a certificate made on another mesh.
 """
 
 from __future__ import annotations
@@ -16,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .coeffs import CoefficientSet, certify, quadrature_points, _sample_fields
+from .coeffs import (
+    CoefficientSet,
+    _certificate,
+    _sample_fields,
+    quadrature_points,
+)
 from .errors import EmptyInteriorError
 
 __all__ = [
@@ -46,7 +56,11 @@ class AssembledSystem:
 
     dof_map sends a vertex index to its free-dof index, or -1 when the
     vertex is constrained.  boundary_dofs are the free dofs sitting on
-    gamma1; interior_dofs is the complement.
+    gamma1; interior_dofs is the complement.  samples is the (a, drift,
+    codrift, a0) tuple of coefficient values at the quadrature nodes the
+    system was assembled from, shaped (2, 2, nt, 3), (2, nt, 3),
+    (2, nt, 3) and (nt, 3); eta and symmetric are the ellipticity
+    certificate of exactly those samples.
     """
 
     A: sp.csr_matrix
@@ -61,6 +75,9 @@ class AssembledSystem:
     mesh: object
     part: object
     coeffs: CoefficientSet
+    samples: tuple
+    eta: float
+    symmetric: bool
 
     @property
     def n_free(self):
@@ -90,6 +107,16 @@ def _triangle_geometry(mesh):
     return v, area, grads
 
 
+def _free_dof_map(mesh, part):
+    """(dof_map, free_vertices): free dofs numbered in vertex order."""
+    constrained = np.zeros(mesh.num_vertices, dtype=bool)
+    constrained[part.constrained_vertices] = True
+    free_vertices = np.flatnonzero(~constrained)
+    dof_map = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    dof_map[free_vertices] = np.arange(len(free_vertices))
+    return dof_map, free_vertices
+
+
 def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
              sample_mesh=None, mass_weight=None) -> AssembledSystem:
     """Assemble A, M and B for a mesh, partition and coefficient set.
@@ -103,16 +130,13 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
     the domain mass form; transported systems use the reciprocal
     Jacobian determinant so that their spectral-parameter family stays
     comparable with the untransported one.
-    """
-    if c.eta is None:
-        certify(c, sample_mesh if sample_mesh is not None else mesh)
 
-    nv = mesh.num_vertices
-    constrained = np.zeros(nv, dtype=bool)
-    constrained[part.constrained_vertices] = True
-    dof_map = np.full(nv, -1, dtype=np.int64)
-    free_vertices = np.flatnonzero(~constrained)
-    dof_map[free_vertices] = np.arange(len(free_vertices))
+    Ellipticity is certified on the samples taken here, every call:
+    raises NonEllipticError when the symmetrized matrix part is not
+    positive definite at some quadrature node, and returns the samples
+    with their eta and symmetry flag on the system.
+    """
+    dof_map, free_vertices = _free_dof_map(mesh, part)
     n = len(free_vertices)
 
     coeff_mesh = mesh if sample_mesh is None else sample_mesh
@@ -121,7 +145,9 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
             or sample_mesh.num_vertices != mesh.num_vertices):
         raise ValueError("sample_mesh must share the mesh topology")
     pts, _ = quadrature_points(coeff_mesh)
-    a_q, drift_q, codrift_q, a0_q = _sample_fields(c, pts[..., 0], pts[..., 1])
+    samples = _sample_fields(c, pts[..., 0], pts[..., 1])
+    eta, symmetric = _certificate(samples)
+    a_q, drift_q, codrift_q, a0_q = samples
 
     _, area, grads = _triangle_geometry(mesh)
     w = area[:, None] / 3.0                          # (nt, 3) weights
@@ -194,6 +220,7 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
         boundary_dofs=boundary_dofs, interior_dofs=interior_dofs,
         quadrature_order=2, lumped_boundary=bool(lump_boundary_mass),
         mesh=mesh, part=part, coeffs=c,
+        samples=samples, eta=eta, symmetric=symmetric,
     )
 
 
@@ -245,11 +272,7 @@ def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
 
     b = pullback(c, phi)
     nv = mesh.num_vertices
-    constrained = np.zeros(nv, dtype=bool)
-    constrained[part.constrained_vertices] = True
-    dof_map = np.full(nv, -1, dtype=np.int64)
-    free = np.flatnonzero(~constrained)
-    dof_map[free] = np.arange(len(free))
+    _, free = _free_dof_map(mesh, part)
 
     u_vert = np.zeros(nv)
     v_vert = np.zeros(nv)

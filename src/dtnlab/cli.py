@@ -141,7 +141,6 @@ def build_system(config, lump_boundary_mass=False):
     mesh, poly = build_domain(config)
     part = partition_boundary(mesh, build_selector(config, poly))
     c = CoefficientSet.from_config(config.get("coefficients", {}))
-    certify(c, mesh)
     return assemble(mesh, part, c, lump_boundary_mass=lump_boundary_mass)
 
 
@@ -327,7 +326,6 @@ def cmd_semigroup(config, rep: Reporter) -> bool:
     mesh, poly = build_domain(config)
     part = partition_boundary(mesh, build_selector(config, poly))
     c = CoefficientSet.from_config(config.get("coefficients", {}))
-    certify(c, mesh)
     sys_ = assemble(mesh, part, c, lump_boundary_mass=True)
     sg = build_semigroup(sys_)
     t_list = [float(t) for t in config["t_grid"]]
@@ -343,7 +341,6 @@ def cmd_semigroup(config, rep: Reporter) -> bool:
     reports.append(domination_report(sys_, sys_t, t_list, trials,
                                      seed=seed + 2))
     c_up = c.shifted(5.0)
-    certify(c_up, mesh)
     sys_up = assemble(mesh, part, c_up, lump_boundary_mass=True)
     reports.append(potential_monotonicity_report(sys_, sys_up, t_list,
                                                  trials, seed=seed + 3))
@@ -368,7 +365,6 @@ def cmd_gauge(config, rep: Reporter) -> bool:
         if config["domain"]["type"] == "square" else (lambda x, y: False)
     part = partition_boundary(base, sel)
     c = CoefficientSet.from_config(config.get("coefficients", {}))
-    certify(c, base)
     phi = build_diffeo(g.get("diffeo", {}))
     study = gauge_experiment(
         base, part, c, phi,

@@ -4,14 +4,17 @@ experiments.
 
 A coefficient set holds a 2x2 matrix field a, a drift vector field, a
 codrift vector field and a scalar potential.  All fields are real
-valued.  Certification samples the fields at the triangle quadrature
-nodes of a mesh and records the worst-case smallest eigenvalue of the
-symmetrized matrix part (eta) together with a symmetry flag.
+valued, and a set carries no state beyond them.  Certification works
+on the field samples at the triangle quadrature nodes of a mesh: it
+returns the worst-case smallest eigenvalue of the symmetrized matrix
+part (eta) together with a symmetry flag.  assemble() certifies the
+samples it assembles from, so a certificate always belongs to the mesh
+it was computed on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,20 +109,19 @@ def _field_grid(spec, shape):
     return tuple(ScalarField(spec[i]) for i in range(2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientSet:
-    """Matrix, drift, codrift and potential fields plus certification data.
+    """Matrix, drift, codrift and potential fields.
 
-    eta and symmetric_flag start as None and are stamped by certify().
-    The field entries themselves are immutable.
+    The set is immutable and mesh independent: it carries no
+    certificate.  Ellipticity is certified per mesh, from samples
+    (certify, assemble).
     """
 
     a: tuple                      # 2x2 of ScalarField
     drift: tuple                  # 2 of ScalarField
     codrift: tuple                # 2 of ScalarField
     a0: ScalarField
-    eta: float | None = field(default=None, compare=False)
-    symmetric_flag: bool | None = field(default=None, compare=False)
 
     @classmethod
     def make(cls, a=((1.0, 0.0), (0.0, 1.0)), drift=(0.0, 0.0),
@@ -198,17 +200,12 @@ def _sample_fields(c: CoefficientSet, xs, ys):
     return a, drift, codrift, a0
 
 
-def certify(c: CoefficientSet, mesh):
-    """Certify ellipticity on the mesh quadrature nodes.
+def _certificate(samples):
+    """(eta, symmetric) of sampled fields; NonEllipticError when eta <= 0.
 
-    Returns (eta, symmetric_flag) and stamps them onto c.  eta is the
-    minimum over samples of the smallest eigenvalue of the symmetrized
-    matrix part; raises NonEllipticError when eta <= 0.
+    samples is the (a, drift, codrift, a0) tuple of _sample_fields.
     """
-    pts, _ = quadrature_points(mesh)
-    xs = pts[..., 0]
-    ys = pts[..., 1]
-    a, drift, codrift, _a0 = _sample_fields(c, xs, ys)
+    a, drift, codrift, _a0 = samples
     s11 = a[0, 0]
     s22 = a[1, 1]
     s12 = 0.5 * (a[0, 1] + a[1, 0])
@@ -223,9 +220,18 @@ def certify(c: CoefficientSet, mesh):
             f"symmetrized matrix coefficient has smallest eigenvalue "
             f"{eta:.6e} <= 0 at a quadrature sample"
         )
-    c.eta = eta
-    c.symmetric_flag = bool(sym)
     return eta, bool(sym)
+
+
+def certify(c: CoefficientSet, mesh):
+    """Certify ellipticity on the mesh quadrature nodes.
+
+    Returns (eta, symmetric_flag) and leaves c unchanged.  eta is the
+    minimum over samples of the smallest eigenvalue of the symmetrized
+    matrix part; raises NonEllipticError when eta <= 0.
+    """
+    pts, _ = quadrature_points(mesh)
+    return _certificate(_sample_fields(c, pts[..., 0], pts[..., 1]))
 
 
 @dataclass
@@ -482,10 +488,6 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
     """
     if not phi.boundary_fixed:
         raise ValueError("pullback requires a boundary-fixed map")
-    if c.symmetric_flag is None:
-        raise ValueError("certify the coefficient set first")
-    if not c.symmetric_flag:
-        raise ValueError("pullback requires a symmetric coefficient set")
 
     def matrix_entry(i, j):
         def entry(xs, ys):

@@ -437,6 +437,24 @@ def refine(mesh: Mesh) -> Mesh:
     return _make_mesh(vertices, triangles, boundary_parent=boundary_parent)
 
 
+def _partition_from_flags(mesh: Mesh, flags) -> BoundaryPartition:
+    """Partition with gamma0 = the boundary edges whose flag is set.
+
+    The all-gamma0 partition is rejected; gamma0 may be empty (pure
+    Neumann/Robin).
+    """
+    flags = np.asarray(flags, dtype=bool)
+    gamma0 = np.flatnonzero(flags)
+    gamma1 = np.flatnonzero(~flags)
+    if len(gamma1) == 0:
+        raise PartitionError("gamma0 must not cover the whole boundary")
+    return BoundaryPartition(
+        gamma0_edges=_freeze(gamma0),
+        gamma1_edges=_freeze(gamma1),
+        constrained_vertices=_freeze(np.unique(mesh.boundary_edges[gamma0])),
+    )
+
+
 def partition_boundary(mesh: Mesh, selector) -> BoundaryPartition:
     """Classify boundary edges by a predicate on their midpoints.
 
@@ -445,37 +463,16 @@ def partition_boundary(mesh: Mesh, selector) -> BoundaryPartition:
     """
     mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
                   + mesh.vertices[mesh.boundary_edges[:, 1]])
-    flags = np.array([bool(selector(x, y)) for x, y in mids])
-    gamma0 = np.flatnonzero(flags)
-    gamma1 = np.flatnonzero(~flags)
-    if len(gamma1) == 0:
-        raise PartitionError("gamma0 must not cover the whole boundary")
-    constrained = (np.unique(mesh.boundary_edges[gamma0])
-                   if len(gamma0) else np.array([], dtype=np.int64))
-    return BoundaryPartition(
-        gamma0_edges=_freeze(gamma0),
-        gamma1_edges=_freeze(gamma1),
-        constrained_vertices=_freeze(constrained),
-    )
+    return _partition_from_flags(
+        mesh, [bool(selector(x, y)) for x, y in mids])
 
 
 def refine_partition(parent: BoundaryPartition, child_mesh: Mesh) -> BoundaryPartition:
     """Transfer a partition onto a refined mesh via boundary_parent."""
     if child_mesh.boundary_parent is None:
         raise ValueError("child mesh does not record parent boundary edges")
-    g0 = set(parent.gamma0_edges.tolist())
-    flags = np.array([p in g0 for p in child_mesh.boundary_parent])
-    gamma0 = np.flatnonzero(flags)
-    gamma1 = np.flatnonzero(~flags)
-    if len(gamma1) == 0:
-        raise PartitionError("gamma0 must not cover the whole boundary")
-    constrained = (np.unique(child_mesh.boundary_edges[gamma0])
-                   if len(gamma0) else np.array([], dtype=np.int64))
-    return BoundaryPartition(
-        gamma0_edges=_freeze(gamma0),
-        gamma1_edges=_freeze(gamma1),
-        constrained_vertices=_freeze(constrained),
-    )
+    return _partition_from_flags(
+        child_mesh, np.isin(child_mesh.boundary_parent, parent.gamma0_edges))
 
 
 def square_side_selector(sides):
@@ -581,16 +578,5 @@ def load_mesh(path):
     stored = {(a, b): lab for a, b, lab in edge_rows}
     if set(stored) != set(map(tuple, mesh.boundary_edges)):
         raise MeshInvariantError("stored boundary edges do not match topology")
-    flags = np.array([stored[tuple(e)] == 0 for e in mesh.boundary_edges])
-    gamma0 = np.flatnonzero(flags)
-    gamma1 = np.flatnonzero(~flags)
-    if len(gamma1) == 0:
-        raise PartitionError("gamma0 must not cover the whole boundary")
-    constrained = (np.unique(mesh.boundary_edges[gamma0])
-                   if len(gamma0) else np.array([], dtype=np.int64))
-    part = BoundaryPartition(
-        gamma0_edges=_freeze(gamma0),
-        gamma1_edges=_freeze(gamma1),
-        constrained_vertices=_freeze(constrained),
-    )
-    return mesh, part
+    return mesh, _partition_from_flags(
+        mesh, [stored[tuple(e)] == 0 for e in mesh.boundary_edges])

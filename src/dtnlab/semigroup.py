@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .assemble import AssembledSystem, lumped_boundary_weights
-from .coeffs import quadrature_points, _sample_fields
 from .dtn import dtn_matrix
 from .errors import EmptyInteriorError, HypothesisViolationError
 from .mesh import quality
@@ -81,9 +81,7 @@ def build_semigroup(sys: AssembledSystem, lam: float = 0.0) -> BoundarySemigroup
     d = dtn_matrix(sys, lam)
     spec = sym_geneig(d.S, d.Bb, d.S.shape[0])
     full = sys.mesh.boundary_vertices()
-    pos = {v: i for i, v in enumerate(full)}
-    gamma1_positions = np.array([pos[v] for v in sys.boundary_dof_vertices],
-                                dtype=np.int64)
+    gamma1_positions = np.searchsorted(full, sys.boundary_dof_vertices)
     return BoundarySemigroup(
         S0=d.S, Bb=d.Bb, lumped=sys.lumped_boundary, lam=float(lam),
         omega=spec.eigenvalues, modes=spec.eigenvectors,
@@ -128,8 +126,7 @@ def check_order_hypotheses(sys: AssembledSystem,
     operator, and optionally a nonnegative potential and zero drift.
     Raises HypothesisViolationError otherwise.
     """
-    c = sys.coeffs
-    if not c.symmetric_flag:
+    if not sys.symmetric:
         raise HypothesisViolationError("coefficient set is not symmetric")
     try:
         lam1 = float(dirichlet_spectrum(sys, 1).eigenvalues[0])
@@ -145,8 +142,7 @@ def check_order_hypotheses(sys: AssembledSystem,
             raise HypothesisViolationError(
                 "0 lies in the discrete Dirichlet spectrum"
             )
-    pts, _ = quadrature_points(sys.mesh)
-    _a, drift, _codrift, a0 = _sample_fields(c, pts[..., 0], pts[..., 1])
+    _a, drift, _codrift, a0 = sys.samples
     if require_nonneg_potential and float(a0.min()) < -1e-12:
         raise HypothesisViolationError(
             f"potential must be nonnegative (min {float(a0.min()):.3e})"
@@ -155,15 +151,72 @@ def check_order_hypotheses(sys: AssembledSystem,
         raise HypothesisViolationError("drift must vanish")
 
 
-def _verdict(violation, tol, strict):
-    if violation <= tol:
-        return "PASS"
-    return "FAIL" if strict else "WARN"
-
-
 def _strict_config(sg: BoundarySemigroup) -> bool:
     # discrete maximum principles need nonobtuse triangles + lumped mass
     return sg.lumped and quality(sg.sys.mesh).nonobtuse
+
+
+_VERDICTS = ("PASS", "WARN", "FAIL")         # in increasing severity
+
+
+def _order_report(check, sgs, t_list, trials, seed, sample,
+                  violation) -> OrderReport:
+    """The trial/time loop shared by the entrywise order checks.
+
+    Each trial draws full-boundary data phi = sample(rng, n) and evolves
+    it under every semigroup in sgs at every time; violation(*outs)
+    measures the failure of the order property.  A row passes when its
+    violation is at most TOL_POS times max(phi), and FAILs otherwise
+    only when every semigroup is in the strict configuration (WARN
+    elsewhere).  The report's verdict is its worst row verdict; its
+    entries are the extremes of the last semigroup's evolutions.
+    """
+    rng = np.random.default_rng(seed)
+    n_full = len(sgs[0].full_boundary_vertices)
+    strict = all(_strict_config(sg) for sg in sgs)
+    rows = []
+    for trial in range(trials):
+        phi = sample(rng, n_full)
+        tol = TOL_POS * float(phi.max())
+        for t in t_list:
+            outs = [evolve(sg, phi, t) for sg in sgs]
+            v = violation(*outs)
+            verdict = "PASS" if v <= tol else ("FAIL" if strict else "WARN")
+            rows.append((check, t, trial, float(outs[-1].min()),
+                         float(outs[-1].max()), v, verdict))
+    return OrderReport(
+        check,
+        min((r[3] for r in rows), default=np.inf),
+        max((r[4] for r in rows), default=-np.inf),
+        max((r[5] for r in rows), default=0.0),
+        max((r[6] for r in rows), key=_VERDICTS.index, default="PASS"),
+        tuple(rows))
+
+
+def _uniform(rng, n):
+    return rng.uniform(0.0, 1.0, n)
+
+
+def _sparse_uniform(rng, n):
+    phi = rng.uniform(0.0, 1.0, n)
+    phi *= rng.uniform(0.0, 1.0, n) < 0.7  # vary the support
+    if not phi.any():
+        phi[rng.integers(n)] = 1.0
+    return phi
+
+
+def _below_zero(out):
+    return max(0.0, -float(out.min()))
+
+
+def _outside_unit_interval(out):
+    return max(0.0, -float(out.min()), float(out.max()) - 1.0)
+
+
+def _not_dominated(out_upper, out_lower):
+    # 0 <= out_lower <= out_upper entrywise
+    return max(0.0, float((out_lower - out_upper).max()),
+               float((-out_lower).max()))
 
 
 def positivity_report(sg: BoundarySemigroup, t_list, trials: int,
@@ -174,30 +227,8 @@ def positivity_report(sg: BoundarySemigroup, t_list, trials: int,
     configurations log WARN (discrete positivity is mesh dependent).
     """
     check_order_hypotheses(sg.sys)
-    rng = np.random.default_rng(seed)
-    n_full = len(sg.full_boundary_vertices)
-    strict = _strict_config(sg)
-    rows = []
-    worst_min = np.inf
-    worst_max = -np.inf
-    for trial in range(trials):
-        phi = rng.uniform(0.0, 1.0, n_full)
-        phi *= rng.uniform(0.0, 1.0, n_full) < 0.7  # vary the support
-        if not phi.any():
-            phi[rng.integers(n_full)] = 1.0
-        tol = TOL_POS * float(phi.max())
-        for t in t_list:
-            out = evolve(sg, phi, t)
-            mn = float(out.min())
-            mx = float(out.max())
-            violation = max(0.0, -mn)
-            rows.append(("positivity", t, trial, mn, mx, violation,
-                         _verdict(violation, tol, strict)))
-            worst_min = min(worst_min, mn)
-            worst_max = max(worst_max, mx)
-    violation = max(0.0, -worst_min)
-    return OrderReport("positivity", worst_min, worst_max, violation,
-                       _verdict(violation, TOL_POS, strict), tuple(rows))
+    return _order_report("positivity", (sg,), t_list, trials, seed,
+                         _sparse_uniform, _below_zero)
 
 
 def submarkov_report(sg: BoundarySemigroup, t_list, trials: int,
@@ -205,26 +236,8 @@ def submarkov_report(sg: BoundarySemigroup, t_list, trials: int,
     """Entrywise containment in [0, 1] of evolved [0, 1]-valued data."""
     check_order_hypotheses(sg.sys, require_nonneg_potential=True,
                            require_zero_drift=True)
-    rng = np.random.default_rng(seed)
-    n_full = len(sg.full_boundary_vertices)
-    strict = _strict_config(sg)
-    rows = []
-    worst_min = np.inf
-    worst_max = -np.inf
-    for trial in range(trials):
-        phi = rng.uniform(0.0, 1.0, n_full)
-        for t in t_list:
-            out = evolve(sg, phi, t)
-            mn = float(out.min())
-            mx = float(out.max())
-            violation = max(0.0, -mn, mx - 1.0)
-            rows.append(("submarkov", t, trial, mn, mx, violation,
-                         _verdict(violation, TOL_POS, strict)))
-            worst_min = min(worst_min, mn)
-            worst_max = max(worst_max, mx)
-    violation = max(0.0, -worst_min, worst_max - 1.0)
-    return OrderReport("submarkov", worst_min, worst_max, violation,
-                       _verdict(violation, TOL_POS, strict), tuple(rows))
+    return _order_report("submarkov", (sg,), t_list, trials, seed,
+                         _uniform, _outside_unit_interval)
 
 
 def _same_mesh(a: AssembledSystem, b: AssembledSystem) -> bool:
@@ -235,10 +248,14 @@ def _same_mesh(a: AssembledSystem, b: AssembledSystem) -> bool:
 
 def _same_fields(a: AssembledSystem, b: AssembledSystem,
                  matrix=True, potential=True) -> bool:
-    pts, _ = quadrature_points(a.mesh)
-    xs, ys = pts[..., 0], pts[..., 1]
-    fa = _sample_fields(a.coeffs, xs, ys)
-    fb = _sample_fields(b.coeffs, xs, ys)
+    """Whether the two systems were assembled from equal samples.
+
+    Drift always, the matrix and the potential on request; call after
+    _same_mesh.
+    """
+    fa, fb = a.samples, b.samples
+    if any(x.shape != y.shape for x, y in zip(fa, fb)):
+        return False
     ok = np.allclose(fa[1], fb[1], atol=1e-12)   # drift
     if matrix:
         ok = ok and np.allclose(fa[0], fb[0], atol=1e-12)
@@ -267,26 +284,9 @@ def domination_report(sysA: AssembledSystem, sysB: AssembledSystem,
                          "contained in gamma0(B)")
     check_order_hypotheses(sysA)
     check_order_hypotheses(sysB)
-    sgA = build_semigroup(sysA, lam)
-    sgB = build_semigroup(sysB, lam)
-    rng = np.random.default_rng(seed)
-    n_full = len(sgA.full_boundary_vertices)
-    strict = _strict_config(sgA) and _strict_config(sgB)
-    rows = []
-    worst = 0.0
-    for trial in range(trials):
-        phi = rng.uniform(0.0, 1.0, n_full)
-        for t in t_list:
-            outA = evolve(sgA, phi, t)
-            outB = evolve(sgB, phi, t)
-            violation = max(0.0, float((outB - outA).max()),
-                            float((-outB).max()))
-            rows.append(("domination", t, trial, float(outB.min()),
-                         float(outB.max()), violation,
-                         _verdict(violation, TOL_POS, strict)))
-            worst = max(worst, violation)
-    return OrderReport("domination", 0.0, 0.0, worst,
-                       _verdict(worst, TOL_POS, strict), tuple(rows))
+    sgs = (build_semigroup(sysA, lam), build_semigroup(sysB, lam))
+    return _order_report("domination", sgs, t_list, trials, seed,
+                         _uniform, _not_dominated)
 
 
 def potential_monotonicity_report(sys_a: AssembledSystem,
@@ -305,48 +305,30 @@ def potential_monotonicity_report(sys_a: AssembledSystem,
         raise ValueError("potential comparison needs the same partition")
     if not _same_fields(sys_a, sys_b, potential=False):
         raise ValueError("matrix coefficient and drift must coincide")
-    pts, _ = quadrature_points(sys_a.mesh)
-    xs, ys = pts[..., 0], pts[..., 1]
-    a0 = _sample_fields(sys_a.coeffs, xs, ys)[3]
-    b0 = _sample_fields(sys_b.coeffs, xs, ys)[3]
-    if float((b0 - a0).min()) < -1e-12:
+    if float((sys_b.samples[3] - sys_a.samples[3]).min()) < -1e-12:
         raise ValueError("potential ordering violated: need b0 >= a0")
     check_order_hypotheses(sys_a, require_zero_drift=True)
     check_order_hypotheses(sys_b, require_zero_drift=True)
-    sga = build_semigroup(sys_a, lam)
-    sgb = build_semigroup(sys_b, lam)
-    rng = np.random.default_rng(seed)
-    n_full = len(sga.full_boundary_vertices)
-    strict = _strict_config(sga) and _strict_config(sgb)
-    rows = []
-    worst = 0.0
-    for trial in range(trials):
-        phi = rng.uniform(0.0, 1.0, n_full)
-        for t in t_list:
-            outA = evolve(sga, phi, t)
-            outB = evolve(sgb, phi, t)
-            violation = max(0.0, float((outB - outA).max()),
-                            float((-outB).max()))
-            rows.append(("potential_monotonicity", t, trial,
-                         float(outB.min()), float(outB.max()), violation,
-                         _verdict(violation, TOL_POS, strict)))
-            worst = max(worst, violation)
-    return OrderReport("potential_monotonicity", 0.0, 0.0, worst,
-                       _verdict(worst, TOL_POS, strict), tuple(rows))
+    sgs = (build_semigroup(sys_a, lam), build_semigroup(sys_b, lam))
+    return _order_report("potential_monotonicity", sgs, t_list, trials,
+                         seed, _uniform, _not_dominated)
 
 
 def lp_contraction_report(sg: BoundarySemigroup, t_list,
                           p_list=(1.0, 2.0, np.inf)):
     """Weighted l^p operator norms of the propagator at each time.
 
-    Weights are the lumped gamma1 boundary weights.  For p in {1, inf}
-    the sub-Markov setting gives norms <= 1; for p = 2 the norm equals
-    exp(-w0 t) by spectral calculus.  Returns rows
+    Weights are the lumped gamma1 boundary weights for p in {1, inf},
+    where the sub-Markov setting gives norms <= 1.  For p = 2 the norm
+    is the one of the Bb inner product, ||L^T P L^{-T}||_2 with
+    Bb = L L^T and P the propagator, which is at most exp(-w0 t) by
+    spectral calculus when the modes are Bb-orthonormal.  Returns rows
     (p, t, norm, bound, ok).
     """
     check_order_hypotheses(sg.sys, require_nonneg_potential=True,
                            require_zero_drift=True)
     w = lumped_boundary_weights(sg.sys)[sg.sys.boundary_dofs]
+    L = scipy.linalg.cholesky(sg.Bb, lower=True)
     rows = []
     for t in t_list:
         G = propagator(sg, t)
@@ -358,8 +340,10 @@ def lp_contraction_report(sg: BoundarySemigroup, t_list,
                 norm = float(np.max((w @ np.abs(G)) / w))
                 bound = 1.0 + TOL_POS
             elif p == 2.0:
-                norm = float(np.exp(-t * sg.w0))
-                bound = float(np.exp(-t * sg.w0)) + 1e-10
+                # L^T P L^{-T} is the transpose of L^{-1} (P^T L)
+                X = scipy.linalg.solve_triangular(L, G.T @ L, lower=True)
+                norm = float(np.linalg.norm(X, 2))
+                bound = float(np.exp(-t * sg.w0)) * (1.0 + 1e-10)
             else:
                 raise ValueError("p must be 1, 2 or inf")
             rows.append((p, t, norm, bound, norm <= bound))

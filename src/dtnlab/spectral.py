@@ -427,7 +427,8 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     eigenvectors restrict to boundary eigenvectors, with equal cluster
     size (multiplicities agree).  j is 1-based.  For a sequence of
     indices a list of results is returned; the Schur complement, the
-    boundary spectrum and the norm of A are computed once for all.
+    boundary spectrum, the norm of A and the harmonic extensions (one
+    interior factorization) are computed once for all.
     """
     js = list(j) if np.ndim(j) else [j]
     d = dtn_matrix(sys, lam)
@@ -441,12 +442,13 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     S_norm = np.abs(d.S).max() or 1.0
     tol_lam = CLUSTER_RTOL * max(1.0, abs(lam))
     C = sys.A - lam * sys.M
+    cols = spec.eigenvectors[:, np.array(js, dtype=int) - 1]
+    exts = harmonic_extension(sys, lam, cols).u
     results = []
-    for jj in js:
+    for jj, u in zip(js, exts.T):
         mu_j = float(spec.eigenvalues[jj - 1])
-        ext = harmonic_extension(sys, lam, spec.eigenvectors[:, jj - 1])
-        residual = float(np.linalg.norm(C @ ext.u - mu_j * (sys.B @ ext.u))
-                         / (A_norm * np.linalg.norm(ext.u)))
+        residual = float(np.linalg.norm(C @ u - mu_j * (sys.B @ u))
+                         / (A_norm * np.linalg.norm(u)))
 
         tol_mu = CLUSTER_RTOL * max(1.0, abs(mu_j))
         s_mult = int(np.sum(np.abs(spec.eigenvalues - mu_j) <= tol_mu))
@@ -678,7 +680,9 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     and the worst Robin eigenvalue gap over mu_list are tabulated; both
     shrink under refinement since the two discretizations share their
     continuum limit.  Also reports the conjugation residual of the
-    intertwiner built from two identical inputs as a baseline.
+    intertwiner built from two identical inputs as a baseline.  Raises
+    ValueError when the coefficient samples on a level mesh are not
+    symmetric (the transport needs a symmetric set).
     """
     meshes = [mesh0]
     parts = [part0]
@@ -690,6 +694,8 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     identity_residual = None
     for mesh_i, part_i in zip(meshes, parts):
         sysA = assemble(mesh_i, part_i, c)
+        if not sysA.symmetric:
+            raise ValueError("pullback requires a symmetric coefficient set")
         mesh_t = transport_mesh(mesh_i, phi)
         b = pullback(c, phi)
         sysB = assemble(mesh_t, part_i, b, sample_mesh=mesh_i,

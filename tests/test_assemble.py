@@ -159,6 +159,23 @@ def test_nonelliptic_rejected():
         assemble(mesh, part, c)
 
 
+def test_certificate_is_bound_to_the_assembled_mesh():
+    # a narrow dip below zero that the n = 8 quadrature nodes miss and
+    # the nodes of the refined mesh hit; certifying on the coarse mesh
+    # must not carry over to the refined one
+    c = CoefficientSet.make(
+        a=(("1 - 2*exp(-40000*((x - 0.53125)^2 + (y - 0.5)^2))", "0"),
+           ("0", "1")))
+    mesh = build_structured_square(8)
+    part = partition_boundary(mesh, lambda x, y: False)
+    eta, sym = certify(c, mesh)
+    coarse = assemble(mesh, part, c)
+    assert (coarse.eta, coarse.symmetric) == (eta, sym)
+    fine = refine(mesh)
+    with pytest.raises(NonEllipticError):
+        assemble(fine, refine_partition(part, fine), c)
+
+
 def test_lumped_boundary_mass():
     sys_c = square_system(n=4, gamma0_sides=("left",), lumped=False)
     sys_l = square_system(n=4, gamma0_sides=("left",), lumped=True)

@@ -107,16 +107,6 @@ def test_identity_diffeo_pullback_is_identity(mesh8):
                                c.a0.eval_batch(xs, ys), atol=1e-14)
 
 
-def test_pullback_requires_certified_symmetric(mesh8):
-    c = CoefficientSet.identity()
-    with pytest.raises(ValueError):
-        pullback(c, bump_diffeo())
-    c2 = CoefficientSet.make(a=((1.0, 0.25), (0.0, 1.0)))
-    certify(c2, mesh8)
-    with pytest.raises(ValueError):
-        pullback(c2, bump_diffeo())
-
-
 def test_validate_diffeos(mesh8):
     for phi in (bump_diffeo(), twist_diffeo(), radial_bump_diffeo()):
         det_min = validate_diffeo(phi, mesh8)

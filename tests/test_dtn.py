@@ -45,6 +45,19 @@ def test_extension_reproduces_linear(mixed16):
     assert ext.residual_interior <= 1e-10
 
 
+def test_block_extension_matches_columns(mixed16):
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((len(mixed16.boundary_dofs), 3))
+    ext = harmonic_extension(mixed16, 1.5, block)
+    assert ext.u.shape == (mixed16.n_free, 3)
+    worst = 0.0
+    for col in range(3):
+        one = harmonic_extension(mixed16, 1.5, block[:, col])
+        np.testing.assert_allclose(ext.u[:, col], one.u, rtol=0, atol=1e-12)
+        worst = max(worst, one.residual_interior)
+    assert ext.residual_interior == pytest.approx(worst, rel=1e-6, abs=1e-18)
+
+
 def test_extension_near_dirichlet_spectrum(mixed16):
     lam1 = dirichlet_spectrum(mixed16, 1).eigenvalues[0]
     with pytest.raises(NearDirichletSpectrumError):

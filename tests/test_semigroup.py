@@ -1,10 +1,12 @@
 """Boundary semigroup order properties at desk scale."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dtnlab.assemble import assemble
-from dtnlab.coeffs import CoefficientSet, certify
+from dtnlab.coeffs import CoefficientSet, ScalarField, certify
 from dtnlab.errors import HypothesisViolationError
 from dtnlab.mesh import (
     build_structured_square,
@@ -221,6 +223,53 @@ def test_lp_contraction_rows(sg_mixed):
     assert by_p[np.inf][2] <= 1.0 + 1e-8
     assert by_p[1.0][2] <= 1.0 + 1e-8
     assert by_p[2.0][2] == pytest.approx(np.exp(-sg_mixed.w0), rel=1e-12)
+
+
+def test_lp_two_norm_catches_broken_propagator(sg_mixed):
+    # modes that are no longer Bb-orthonormal stretch the first mode
+    modes = sg_mixed.modes.copy()
+    modes[:, 0] *= 1.5
+    broken = dataclasses.replace(sg_mixed, modes=modes)
+    rows = [row for row in lp_contraction_report(broken, T_LIST)
+            if row[0] == 2.0]
+    assert len(rows) == len(T_LIST)
+    assert not any(row[-1] for row in rows)
+    for _p, t, norm, _bound, _ok in rows:
+        assert norm == pytest.approx(2.25 * np.exp(-t * sg_mixed.w0),
+                                     rel=1e-10)
+
+
+def test_order_reports_evaluate_no_field(monkeypatch):
+    # the reports read the samples stored at assembly time
+    c = CoefficientSet.make(
+        a=(("1 + 0.5*sin(3*x)*cos(2*y)", "0"),
+           ("0", "1 + 0.5*sin(3*x)*cos(2*y)")),
+        a0="1 + x*y")
+    sys_a = square_system(n=6, gamma0_sides=("left",), coeffs=c,
+                          lumped=True)
+    sys_t = square_system(n=6, gamma0_sides=("left", "bottom"), coeffs=c,
+                          lumped=True)
+    sys_up = square_system(n=6, gamma0_sides=("left",),
+                           coeffs=c.shifted(5.0), lumped=True)
+    sg = build_semigroup(sys_a)
+    calls = []
+    original = ScalarField.eval_batch
+
+    def counting(self, xs, ys):
+        calls.append(np.size(xs))
+        return original(self, xs, ys)
+
+    monkeypatch.setattr(ScalarField, "eval_batch", counting)
+    reports = [
+        positivity_report(sg, (0.5,), trials=2),
+        submarkov_report(sg, (0.5,), trials=2),
+        domination_report(sys_a, sys_t, (0.5,), trials=2),
+        potential_monotonicity_report(sys_a, sys_up, (0.5,), trials=2),
+    ]
+    rows = lp_contraction_report(sg, (0.5,))
+    assert calls == []
+    assert all(r.verdict == "PASS" for r in reports)
+    assert all(row[-1] for row in rows)
 
 
 def test_lp_infinity_norm_matches_constant_input(sg_mixed):

@@ -397,3 +397,12 @@ def test_gauge_experiment_smoke():
     assert study.identity_residual <= 1e-10
     assert study.dtn_defects[1] < study.dtn_defects[0]
     assert study.max_gaps[1] < study.max_gaps[0]
+
+
+def test_gauge_experiment_rejects_nonsymmetric():
+    mesh = build_structured_square(4)
+    part = partition_boundary(mesh, lambda x, y: False)
+    c = CoefficientSet.make(a=((1.0, 0.25), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="symmetric"):
+        gauge_experiment(mesh, part, c, radial_bump_diffeo(),
+                         refinements=0, k=3, mu_list=(0.0,))
