@@ -17,6 +17,7 @@ neither sample again nor trust a certificate made on another mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +88,20 @@ class AssembledSystem:
     def boundary_dof_vertices(self):
         """Mesh vertex index of each gamma1 boundary dof."""
         return self.free_vertices[self.boundary_dofs]
+
+    @cached_property
+    def dirichlet_lambda1(self):
+        """Smallest Dirichlet eigenvalue, solved on first use only.
+
+        None when the system has no interior dofs.  Nothing changes a
+        system after assemble, so the cached value stays valid.
+        """
+        from .spectral import dirichlet_spectrum   # spectral imports us
+
+        try:
+            return float(dirichlet_spectrum(self, 1).eigenvalues[0])
+        except EmptyInteriorError:
+            return None
 
 
 def _triangle_geometry(mesh):

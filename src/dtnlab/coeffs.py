@@ -43,28 +43,31 @@ __all__ = [
 class ScalarField:
     """A point-evaluable real field on the plane.
 
-    Wraps a constant, an expression string/tree, a scalar callable, or
-    a numpy-vectorized callable (vectorized=True).
+    Wraps a constant, an expression string/tree, or a numpy array
+    function f(xs, ys).  An expression is compiled once, here, into a
+    numpy closure (exprlang.compile_expr) that eval_batch calls;
+    __call__ evaluates one point with the scalar reference eval_expr.
     """
 
-    def __init__(self, spec, vectorized=False):
+    def __init__(self, spec):
         if isinstance(spec, ScalarField):
             self._kind = spec._kind
             self._payload = spec._payload
+            self._batch = spec._batch
             return
         if isinstance(spec, (int, float)):
             self._kind = "const"
             self._payload = float(spec)
-        elif isinstance(spec, str):
-            self._kind = "expr"
-            self._payload = exprlang.parse_expr(spec)
-        elif isinstance(spec, (exprlang.Num, exprlang.Var, exprlang.Neg,
+            self._batch = None
+        elif isinstance(spec, (str, exprlang.Num, exprlang.Var, exprlang.Neg,
                                exprlang.BinOp, exprlang.Call)):
             self._kind = "expr"
-            self._payload = spec
+            self._payload = (exprlang.parse_expr(spec) if isinstance(spec, str)
+                             else spec)
+            self._batch = exprlang.compile_expr(self._payload)
         elif callable(spec):
-            self._kind = "vfn" if vectorized else "fn"
-            self._payload = spec
+            self._kind = "vfn"
+            self._payload = self._batch = spec
         else:
             raise TypeError(f"cannot build a scalar field from {spec!r}")
 
@@ -91,14 +94,7 @@ class ScalarField:
         ys = np.asarray(ys, dtype=float)
         if self._kind == "const":
             return np.full(xs.shape, self._payload)
-        if self._kind == "vfn":
-            return np.asarray(self._payload(xs, ys), dtype=float)
-        flat = np.empty(xs.size)
-        fx = xs.ravel()
-        fy = ys.ravel()
-        for i in range(xs.size):
-            flat[i] = self(fx[i], fy[i])
-        return flat.reshape(xs.shape)
+        return np.asarray(self._batch(xs, ys), dtype=float)
 
 
 def _field_grid(spec, shape):
@@ -162,9 +158,7 @@ class CoefficientSet:
         else:
             base = self.a0
             a0 = ScalarField(
-                lambda xs, ys, _b=base, _d=delta: _b.eval_batch(xs, ys) + _d,
-                vectorized=True,
-            )
+                lambda xs, ys, _b=base, _d=delta: _b.eval_batch(xs, ys) + _d)
         return CoefficientSet(a=self.a, drift=self.drift,
                               codrift=self.codrift, a0=a0)
 
@@ -308,10 +302,10 @@ def bump_diffeo(alpha=0.12, c1=1.0, c2=-0.7) -> Diffeo:
     def j22(x, y):
         return 1.0 + alpha * c2 * pi * np.sin(pi * x) * np.cos(pi * y)
 
-    V = lambda f: ScalarField(f, vectorized=True)
     return Diffeo(
-        forward=(V(fwd_x), V(fwd_y)),
-        jacobian=((V(j11), V(j12)), (V(j21), V(j22))),
+        forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
+        jacobian=((ScalarField(j11), ScalarField(j12)),
+                  (ScalarField(j21), ScalarField(j22))),
         boundary_fixed=True,
     )
 
@@ -361,11 +355,10 @@ def radial_bump_diffeo(alpha=0.35, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
             inside = s < R2
             dws = np.where(inside, dw(np.where(inside, s, R2)), 0.0)
             return base + 2.0 * alpha * dws * u[i] * u[j]
-        return ScalarField(entry, vectorized=True)
+        return ScalarField(entry)
 
-    V = lambda f: ScalarField(f, vectorized=True)
     return Diffeo(
-        forward=(V(fwd_x), V(fwd_y)),
+        forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
         jacobian=((jac(0, 0), jac(0, 1)), (jac(1, 0), jac(1, 1))),
         boundary_fixed=True,
     )
@@ -412,11 +405,10 @@ def twist_diffeo(alpha=0.8, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
             R = np.stack([np.stack([c, -sn]), np.stack([sn, c])])
             JRu = np.stack([-(sn * u[0] + c * u[1]), c * u[0] - sn * u[1]])
             return R[i, j] + 2.0 * dth * JRu[i] * u[j]
-        return ScalarField(entry, vectorized=True)
+        return ScalarField(entry)
 
-    V = lambda f: ScalarField(f, vectorized=True)
     return Diffeo(
-        forward=(V(fwd_x), V(fwd_y)),
+        forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
         jacobian=((jac(0, 0), jac(0, 1)), (jac(1, 0), jac(1, 1))),
         boundary_fixed=True,
     )
@@ -499,7 +491,7 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
             ], axis=-2)
             g = J @ a @ np.swapaxes(J, -1, -2)
             return g[..., i, j] / det
-        return ScalarField(entry, vectorized=True)
+        return ScalarField(entry)
 
     def vector_entry(fields, i):
         def entry(xs, ys):
@@ -507,7 +499,7 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
             v = np.stack([fields[k].eval_batch(xs, ys) for k in range(2)],
                          axis=-1)
             return (J @ v[..., None])[..., i, 0] / det
-        return ScalarField(entry, vectorized=True)
+        return ScalarField(entry)
 
     def potential(xs, ys):
         _, det = phi.jacobian_batch(xs, ys)
@@ -517,7 +509,7 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
         a=tuple(tuple(matrix_entry(i, j) for j in range(2)) for i in range(2)),
         drift=tuple(vector_entry(c.drift, i) for i in range(2)),
         codrift=tuple(vector_entry(c.codrift, i) for i in range(2)),
-        a0=ScalarField(potential, vectorized=True),
+        a0=ScalarField(potential),
     )
 
 
@@ -540,4 +532,4 @@ def mass_weight(phi: Diffeo) -> ScalarField:
         _, det = phi.jacobian_batch(xs, ys)
         return 1.0 / det
 
-    return ScalarField(rho, vectorized=True)
+    return ScalarField(rho)

@@ -13,6 +13,10 @@ Coefficient fields are declared in config files as strings like
 associative.  Note that the left operand of ``^`` is a ``unary``, so
 ``-x^2`` parses as ``(-x)^2``.  Known functions: sin, cos, exp, sqrt,
 abs (one argument), min, max (two arguments).  ``pi`` is a constant.
+
+eval_expr evaluates a tree at one point and is the reference semantics.
+compile_expr turns a tree into a numpy closure over arrays of points
+that agrees with eval_expr point by point, domain errors included.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import EvalDomainError, ParseError
 
@@ -31,6 +37,7 @@ __all__ = [
     "Call",
     "parse_expr",
     "eval_expr",
+    "compile_expr",
     "format_expr",
     "FUNCTIONS",
 ]
@@ -272,6 +279,121 @@ def eval_expr(e: Expr, x: float, y: float) -> float:
             raise EvalDomainError(f"{e.func} domain error: {exc}", e.offset) from None
         raise EvalDomainError(f"unknown function {e.func!r}", e.offset)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# numpy's SIMD exp and pow round differently from libm on about 5% of
+# points, and an expression can amplify one ulp into many (exp(exp(y)),
+# exp(y) - 2), so those two nodes call libm itself through numpy.
+_LIBM_EXP = np.frompyfunc(math.exp, 1, 1)
+_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
+_EXP_SAFE = 709.0          # math.exp overflows only above log(DBL_MAX) ~ 709.78
+_POW_SAFE = 1e308          # numpy pow below this cannot overflow in libm
+
+
+def _libm(fn, flag, *args):
+    """fn over the points not flagged (those cannot raise); nan elsewhere."""
+    args = np.broadcast_arrays(*args)
+    out = np.full(args[0].shape, np.nan)
+    ok = ~np.broadcast_to(flag, out.shape)
+    out[ok] = fn(*(a[ok] for a in args))
+    return out
+
+
+def _power(a, b):
+    # math.pow raises only for finite operands with a nan or inf result
+    flag = (np.isfinite(a) & np.isfinite(b)
+            & ~(np.abs(np.power(a, b)) <= _POW_SAFE))
+    return _libm(_LIBM_POW, flag, a, b), flag
+
+
+def _exp(a):
+    flag = a > _EXP_SAFE
+    return _libm(_LIBM_EXP, flag, a), flag
+
+
+# operator or function name -> f(*operands) = (values, flag).  The flag
+# marks every point where eval_expr may raise at that node; marking more
+# is harmless, since flagged points are evaluated again with eval_expr.
+_NODES = {
+    "+": lambda a, b: (np.add(a, b), False),
+    "-": lambda a, b: (np.subtract(a, b), False),
+    "*": lambda a, b: (np.multiply(a, b), False),
+    "/": lambda a, b: (np.divide(a, b), b == 0.0),
+    "^": _power,
+    "sin": lambda a: (np.sin(a), np.isinf(a)),
+    "cos": lambda a: (np.cos(a), np.isinf(a)),
+    "exp": _exp,
+    "sqrt": lambda a: (np.sqrt(a), a < 0.0),
+    "abs": lambda a: (np.abs(a), False),
+    # Python's min/max keep the first argument unless the second is
+    # strictly smaller/larger (nan and -0.0 included)
+    "min": lambda a, b: (np.where(b < a, b, a), False),
+    "max": lambda a, b: (np.where(b > a, b, a), False),
+}
+
+
+def _unknown_node(*operands):
+    return np.float64(np.nan), True
+
+
+def _compile(e):
+    """Node closure (xs, ys, flagged) -> values; ORs domain flags into flagged."""
+    if isinstance(e, Num):
+        value = np.float64(e.value)
+        return lambda xs, ys, flagged: value
+    if isinstance(e, Var):
+        if e.name == "x":
+            return lambda xs, ys, flagged: xs
+        return lambda xs, ys, flagged: ys
+    if isinstance(e, Neg):
+        operand = _compile(e.operand)
+        return lambda xs, ys, flagged: -operand(xs, ys, flagged)
+    if isinstance(e, BinOp):
+        node, children = _NODES[e.op], (e.left, e.right)
+    elif isinstance(e, Call):
+        node, children = _NODES.get(e.func, _unknown_node), e.args
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    operands = [_compile(c) for c in children]
+
+    def apply(xs, ys, flagged):
+        values, flag = node(*(f(xs, ys, flagged) for f in operands))
+        flagged |= flag
+        return values
+
+    return apply
+
+
+def compile_expr(e: Expr):
+    """Compile the tree into a closure ``(xs, ys) -> ndarray``.
+
+    The closure evaluates one node at a time over all points (xs and ys
+    broadcast together) with numpy, and gives the bits eval_expr gives
+    wherever numpy's sin and cos agree with libm's.  Every node where
+    eval_expr can raise flags the points at risk; those points are
+    evaluated again with eval_expr in ravel order, so each takes the
+    scalar value or the first failing one raises the same
+    EvalDomainError (message and offset).
+    """
+    node = _compile(e)
+
+    def evaluate(xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        flagged = np.zeros(shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            out = np.array(np.broadcast_to(node(xs, ys, flagged), shape),
+                           dtype=float)
+        if flagged.any():
+            fx = np.broadcast_to(xs, shape).ravel()
+            fy = np.broadcast_to(ys, shape).ravel()
+            flat = out.reshape(-1)
+            for i in np.flatnonzero(flagged):
+                flat[i] = eval_expr(e, fx[i], fy[i])
+        return out
+
+    return evaluate
 
 
 def format_expr(e: Expr) -> str:

@@ -8,6 +8,11 @@ A BoundaryPartition splits the boundary edges into a closed part
 (gamma1).  A vertex incident to any gamma0 edge is constrained; in
 particular the two interface vertices between gamma0 and gamma1 are
 constrained (closure convention).
+
+Edges are matched as integers: a directed edge (a, b) has the key
+a * nv + b and an undirected one lo * nv + hi, for nv vertices.
+Boundary extraction, refinement and check_mesh sort these keys and
+look them up with searchsorted, so no step walks the edges in Python.
 """
 
 from __future__ import annotations
@@ -119,14 +124,51 @@ def _directed_edges(triangles):
     )
 
 
-def _extract_boundary(triangles):
-    """Directed boundary edges: those whose reverse does not occur."""
+def _check_indices(name, index, nv):
+    # edge keys are unique only for vertex indices in [0, nv)
+    if index.size and (index.min() < 0 or index.max() >= nv):
+        raise MeshInvariantError(f"{name} refer to vertices outside 0..{nv - 1}")
+
+
+def _directed_keys(edges, nv):
+    """One integer per directed edge (a, b): a * nv + b."""
+    return edges[:, 0] * nv + edges[:, 1]
+
+
+def _edge_keys(edges, nv):
+    """One integer per undirected edge {a, b}: lo * nv + hi."""
+    return (np.minimum(edges[:, 0], edges[:, 1]) * nv
+            + np.maximum(edges[:, 0], edges[:, 1]))
+
+
+def _sorted_distinct(keys):
+    """The distinct keys, sorted, and whether any key occurs twice."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first], not np.all(first)
+
+
+def _contains(sorted_keys, queries):
+    """Membership of each query in a sorted key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(queries), dtype=bool)
+    pos = np.searchsorted(sorted_keys, queries)
+    pos = np.minimum(pos, len(sorted_keys) - 1)
+    return sorted_keys[pos] == queries
+
+
+def _extract_boundary(triangles, nv):
+    """Directed boundary edges: those whose reverse does not occur.
+
+    They come in the order of _directed_edges.
+    """
+    _check_indices("triangles", triangles, nv)
     edges = _directed_edges(triangles)
-    edge_set = set(map(tuple, edges))
-    if len(edge_set) != len(edges):
+    keys, duplicated = _sorted_distinct(_directed_keys(edges, nv))
+    if duplicated:
         raise MeshInvariantError("duplicate directed edge (orientation defect)")
-    boundary = [e for e in map(tuple, edges) if (e[1], e[0]) not in edge_set]
-    return np.array(boundary, dtype=np.int64).reshape(-1, 2)
+    return edges[~_contains(keys, _directed_keys(edges[:, ::-1], nv))]
 
 
 def _outward_normals(vertices, boundary_edges):
@@ -155,7 +197,7 @@ def _freeze(arr):
 def _make_mesh(vertices, triangles, boundary_parent=None):
     vertices = np.asarray(vertices, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    boundary = _extract_boundary(triangles)
+    boundary = _extract_boundary(triangles, len(vertices))
     mesh = Mesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
@@ -171,10 +213,13 @@ def _make_mesh(vertices, triangles, boundary_parent=None):
 def check_mesh(mesh: Mesh) -> None:
     """Validate structural invariants; raise MeshInvariantError on failure.
 
-    Checks: positive triangle areas, every edge shared by exactly one
-    (boundary) or two (interior) triangles with opposite orientation,
-    and boundary edges forming closed loops.
+    Checks: vertex indices in range, positive triangle areas, every
+    edge shared by exactly one (boundary) or two (interior) triangles
+    with opposite orientation, and boundary edges forming closed loops.
     """
+    nv = mesh.num_vertices
+    _check_indices("triangles", mesh.triangles, nv)
+    _check_indices("boundary edges", mesh.boundary_edges, nv)
     areas = _signed_areas(mesh.vertices, mesh.triangles)
     if np.any(areas <= 0):
         bad = int(np.argmin(areas))
@@ -182,26 +227,23 @@ def check_mesh(mesh: Mesh) -> None:
             f"triangle {bad} has nonpositive signed area {areas[bad]:.3e}"
         )
     edges = _directed_edges(mesh.triangles)
-    edge_set = set(map(tuple, edges))
-    if len(edge_set) != len(edges):
+    keys, duplicated = _sorted_distinct(_directed_keys(edges, nv))
+    if duplicated:
         raise MeshInvariantError("duplicate directed edge (orientation defect)")
-    boundary = {tuple(e) for e in mesh.boundary_edges}
-    for e in edge_set:
-        rev = (e[1], e[0])
-        if rev in edge_set:
-            if e in boundary:
-                raise MeshInvariantError(f"interior edge {e} labeled boundary")
-        else:
-            if e not in boundary:
-                raise MeshInvariantError(f"boundary edge {e} missing from list")
+    listed, _ = _sorted_distinct(_directed_keys(mesh.boundary_edges, nv))
+    has_reverse = _contains(keys, _directed_keys(edges[:, ::-1], nv))
+    is_listed = _contains(listed, _directed_keys(edges, nv))
+    for bad, message in (
+            (has_reverse & is_listed, "interior edge {} labeled boundary"),
+            (~has_reverse & ~is_listed, "boundary edge {} missing from list")):
+        if np.any(bad):
+            e = tuple(edges[np.argmax(bad)])
+            raise MeshInvariantError(message.format(e))
     # closed loops: each boundary vertex has exactly one in and one out edge
-    out_deg = {}
-    in_deg = {}
-    for a, b in boundary:
-        out_deg[a] = out_deg.get(a, 0) + 1
-        in_deg[b] = in_deg.get(b, 0) + 1
-    if set(out_deg) != set(in_deg) or any(v != 1 for v in out_deg.values()) \
-            or any(v != 1 for v in in_deg.values()):
+    out_deg = np.bincount(listed // nv, minlength=nv)
+    in_deg = np.bincount(listed % nv, minlength=nv)
+    if np.any(out_deg > 1) or np.any(in_deg > 1) \
+            or np.any((out_deg > 0) != (in_deg > 0)):
         raise MeshInvariantError("boundary edges do not form closed loops")
 
 
@@ -400,40 +442,41 @@ def refine(mesh: Mesh) -> Mesh:
     (boundary_parent), so partitions transfer with refine_partition.
     """
     nv = mesh.num_vertices
-    midpoint_index = {}
-    new_vertices = [mesh.vertices]
+    tri = mesh.triangles
+    # the edges ab, bc, ca of every triangle, triangle by triangle
+    ends = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
+    keys = _edge_keys(ends, nv)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+    # midpoints are numbered by the first appearance of their edge
+    firsts = order[starts]
+    by_first = np.argsort(firsts)
+    first = firsts[by_first]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    mid = np.empty(len(keys), dtype=np.int64)
+    mid[order] = nv + rank[np.cumsum(starts) - 1]
+    a, b, c = tri.T
+    mab, mbc, mca = mid.reshape(-1, 3).T
+    triangles = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
+                         axis=1).reshape(-1, 3)
+    new_ends = ends[first]
+    vertices = np.vstack([mesh.vertices,
+                          0.5 * (mesh.vertices[new_ends[:, 0]]
+                                 + mesh.vertices[new_ends[:, 1]])])
+    boundary = _extract_boundary(triangles, len(vertices))
 
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in midpoint_index:
-            midpoint_index[key] = nv + len(midpoint_index)
-            new_vertices.append(
-                0.5 * (mesh.vertices[a] + mesh.vertices[b]).reshape(1, 2)
-            )
-        return midpoint_index[key]
-
-    new_triangles = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        new_triangles.extend(
-            [[a, mab, mca], [b, mbc, mab], [c, mca, mbc], [mab, mbc, mca]]
-        )
-    vertices = np.vstack(new_vertices)
-    triangles = np.array(new_triangles, dtype=np.int64)
-    boundary = _extract_boundary(triangles)
-
-    parent_of = {
-        (min(a, b), max(a, b)): i for i, (a, b) in enumerate(mesh.boundary_edges)
-    }
-    midpoint_parent = {
-        v: parent_of[key] for key, v in midpoint_index.items() if key in parent_of
-    }
-    boundary_parent = np.empty(len(boundary), dtype=np.int64)
-    for i, (a, b) in enumerate(boundary):
-        new_vertex = a if a >= nv else b
-        if new_vertex < nv or new_vertex not in midpoint_parent:
-            raise MeshInvariantError("refined boundary edge has no parent")
-        boundary_parent[i] = midpoint_parent[new_vertex]
+    # every refined boundary edge joins a midpoint to a parent vertex
+    new_vertex = np.where(boundary[:, 0] >= nv, boundary[:, 0], boundary[:, 1])
+    if np.any(new_vertex < nv):
+        raise MeshInvariantError("refined boundary edge has no parent")
+    split = keys[first][new_vertex - nv]
+    parent_keys = _edge_keys(mesh.boundary_edges, nv)
+    by_key = np.argsort(parent_keys)
+    if not np.all(_contains(parent_keys[by_key], split)):
+        raise MeshInvariantError("refined boundary edge has no parent")
+    boundary_parent = by_key[np.searchsorted(parent_keys[by_key], split)]
     return _make_mesh(vertices, triangles, boundary_parent=boundary_parent)
 
 

@@ -23,9 +23,9 @@ import scipy.linalg
 
 from .assemble import AssembledSystem, lumped_boundary_weights
 from .dtn import dtn_matrix
-from .errors import EmptyInteriorError, HypothesisViolationError
+from .errors import HypothesisViolationError
 from .mesh import quality
-from .spectral import dirichlet_spectrum, sym_geneig
+from .spectral import sym_geneig
 
 __all__ = [
     "BoundarySemigroup",
@@ -128,10 +128,7 @@ def check_order_hypotheses(sys: AssembledSystem,
     """
     if not sys.symmetric:
         raise HypothesisViolationError("coefficient set is not symmetric")
-    try:
-        lam1 = float(dirichlet_spectrum(sys, 1).eigenvalues[0])
-    except EmptyInteriorError:
-        lam1 = None
+    lam1 = sys.dirichlet_lambda1
     if lam1 is not None:
         scale = float(np.abs(sys.A).max())
         if lam1 < -1e-10 * scale:

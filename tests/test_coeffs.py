@@ -69,7 +69,7 @@ def test_certify_scaling_is_exact(s):
     scaled = CoefficientSet.make(
         a=tuple(tuple(
             (lambda f=base.a[i][j]: ScalarField(
-                lambda xs, ys, f=f: s * f.eval_batch(xs, ys), vectorized=True))()
+                lambda xs, ys, f=f: s * f.eval_batch(xs, ys)))()
             for j in range(2)) for i in range(2)),
     )
     eta_scaled, _ = certify(scaled, mesh)
