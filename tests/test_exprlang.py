@@ -319,3 +319,103 @@ def test_eval_matches_reference_on_fixed_source(x, y):
     src = "1 + 0.5*sin(pi*x)*y - max(x, y)/(2 + abs(x))"
     assert struct.pack("<d", eval_expr(parse_expr(src), x, y)) \
         == struct.pack("<d", reference_eval(src, x, y))
+
+
+# compiled (numpy) evaluator against the per-point eval_expr loop ----------
+
+import numpy as np
+
+from dtnlab.coeffs import ScalarField
+
+
+def _loop_outcome(tree, xs, ys):
+    try:
+        return ("value", np.array([eval_expr(tree, x, y)
+                                   for x, y in zip(xs, ys)]))
+    except EvalDomainError as exc:
+        return ("error", type(exc), str(exc), exc.offset)
+
+
+def _batch_outcome(tree, xs, ys):
+    try:
+        return ("value", ScalarField(tree).eval_batch(xs, ys))
+    except EvalDomainError as exc:
+        return ("error", type(exc), str(exc), exc.offset)
+
+
+def _ulps(a, b):
+    """Distance in units in the last place (0 for equal values or two nans)."""
+    # map the sign-magnitude bit patterns onto a monotone line of
+    # Python integers (no int64 overflow between opposite infinities)
+    ia = a.view(np.int64).astype(object)
+    ib = b.view(np.int64).astype(object)
+    ia = np.where(ia < 0, -(1 << 63) - ia, ia)
+    ib = np.where(ib < 0, -(1 << 63) - ib, ib)
+    both_nan = np.isnan(a) & np.isnan(b)
+    return np.where(both_nan, 0, np.abs(ia - ib))
+
+
+def test_compiled_batch_matches_scalar_loop_1000():
+    rng = random.Random(20261018)
+    points = np.random.default_rng(7)
+    for _ in range(1000):
+        tree = _random_tree(rng, 4)
+        xs, ys = points.uniform(-2.0, 2.0, size=(2, 64))
+        loop = _loop_outcome(tree, xs, ys)
+        batch = _batch_outcome(tree, xs, ys)
+        src = format_expr(tree)
+        assert loop[0] == batch[0], src
+        if loop[0] == "error":
+            assert batch == loop, src
+        else:
+            assert batch[1].shape == (64,)
+            assert int(np.max(_ulps(loop[1], batch[1]))) <= 4, src
+
+
+@pytest.mark.parametrize("src, bad_x, message", [
+    ("1 + 1/x", 0.0, "division by zero"),
+    ("1 + sqrt(x)", -1.0, "sqrt domain error"),
+    ("1 + x^0.5", -2.0, "pow domain error"),
+    ("1 + exp(x)", 800.0, "exp domain error"),
+    ("1 + sin(x)", math.inf, "sin domain error"),
+])
+def test_batch_raises_the_scalar_domain_error(src, bad_x, message):
+    xs = np.linspace(0.5, 1.5, 65)
+    xs[32] = bad_x
+    xs[40] = bad_x          # only the first failing point is reported
+    ys = np.zeros_like(xs)
+    loop = _loop_outcome(parse_expr(src), xs, ys)
+    assert loop[0] == "error" and message in loop[2]
+    assert _batch_outcome(parse_expr(src), xs, ys) == loop
+    # 2-d input: the first failing point in ravel order decides
+    assert _batch_outcome(parse_expr(src), xs[:64].reshape(8, 8),
+                          ys[:64].reshape(8, 8)) == loop
+
+
+def test_batch_reports_the_first_error_in_point_order():
+    tree = parse_expr("sqrt(x) + 1/y")
+    xs = np.ones(16)
+    ys = np.ones(16)
+    xs[9] = -1.0            # sqrt fails at point 9
+    ys[5] = 0.0             # the division fails earlier, at point 5
+    loop = _loop_outcome(tree, xs, ys)
+    assert loop[2].startswith("division by zero")
+    assert _batch_outcome(tree, xs, ys) == loop
+    ys[5] = 1.0
+    ys[9] = 0.0             # both fail at point 9: sqrt is evaluated first
+    loop = _loop_outcome(tree, xs, ys)
+    assert loop[2].startswith("sqrt domain error")
+    assert _batch_outcome(tree, xs, ys) == loop
+
+
+def test_flagged_points_that_evaluate_cleanly_keep_the_scalar_value():
+    # exp near overflow, exp(inf), pow with infinite operands and nan
+    # inputs are flagged or special but raise nothing in eval_expr
+    xs = np.array([709.5, math.inf, -math.inf, math.nan, 0.5, -0.0])
+    ys = np.array([1.0, -math.inf, 2.0, 0.0, math.inf, 3.0])
+    for src in ("exp(x)", "x^y", "min(x, y)", "max(x, -y)", "x/(y + 1)"):
+        tree = parse_expr(src)
+        loop = _loop_outcome(tree, xs, ys)
+        batch = _batch_outcome(tree, xs, ys)
+        assert loop[0] == batch[0] == "value", src
+        assert loop[1].tobytes() == batch[1].tobytes(), src

@@ -1,5 +1,6 @@
 """Mesh construction, refinement, partitions and serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtnlab.errors import MeshInvariantError, PartitionError, PolygonError
+from dtnlab.mesh import _h_max, _outward_normals
 from dtnlab.mesh import (
     build_polygon_mesh,
     build_structured_square,
@@ -220,3 +222,127 @@ def test_polygon_refinement_preserves_area(sides, extra_refines):
     ).sum()
     exact = 0.5 * sides * math.sin(2 * math.pi / sides)
     assert area == pytest.approx(exact, rel=1e-12)
+
+
+# dict-based reference: the per-edge refinement the array code replaced --
+
+
+def _dict_extract_boundary(triangles):
+    edges = np.concatenate(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    edge_set = set(map(tuple, edges))
+    assert len(edge_set) == len(edges)
+    boundary = [e for e in map(tuple, edges) if (e[1], e[0]) not in edge_set]
+    return np.array(boundary, dtype=np.int64).reshape(-1, 2)
+
+
+def _dict_refine(vertices, triangles, boundary_edges):
+    """(vertices, triangles, boundary_edges, boundary_parent) of one refine."""
+    nv = len(vertices)
+    midpoint_index = {}
+    new_vertices = [vertices]
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint_index:
+            midpoint_index[key] = nv + len(midpoint_index)
+            new_vertices.append(
+                0.5 * (vertices[a] + vertices[b]).reshape(1, 2))
+        return midpoint_index[key]
+
+    new_triangles = []
+    for a, b, c in triangles:
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        new_triangles.extend(
+            [[a, mab, mca], [b, mbc, mab], [c, mca, mbc], [mab, mbc, mca]])
+    triangles = np.array(new_triangles, dtype=np.int64)
+    boundary = _dict_extract_boundary(triangles)
+    parent_of = {(min(a, b), max(a, b)): i
+                 for i, (a, b) in enumerate(boundary_edges)}
+    midpoint_parent = {v: parent_of[key] for key, v in midpoint_index.items()
+                       if key in parent_of}
+    parent = np.array([midpoint_parent[a if a >= nv else b]
+                       for a, b in boundary], dtype=np.int64)
+    return np.vstack(new_vertices), triangles, boundary, parent
+
+
+def _assert_refined_like_reference(coarse, fine, times):
+    vertices, triangles = coarse.vertices, coarse.triangles
+    boundary = _dict_extract_boundary(triangles)
+    assert np.array_equal(boundary, coarse.boundary_edges)
+    parent = None
+    for _ in range(times):
+        vertices, triangles, boundary, parent = _dict_refine(
+            vertices, triangles, boundary)
+    assert fine.vertices.tobytes() == vertices.tobytes()
+    assert np.array_equal(fine.triangles, triangles)
+    assert np.array_equal(fine.boundary_edges, boundary)
+    assert np.array_equal(fine.boundary_parent, parent)
+    assert fine.boundary_normals.tobytes() == \
+        _outward_normals(vertices, boundary).tobytes()
+    assert fine.h_max == _h_max(vertices, triangles)
+
+
+def test_refine_matches_dict_reference_square():
+    coarse = build_structured_square(4)
+    _assert_refined_like_reference(coarse, refine(refine(coarse)), 2)
+
+
+@pytest.mark.parametrize("polygon, h, times", [
+    (lshape_polygon(), 0.05, 5),
+    (regular_polygon(64), 0.1, 3),
+])
+def test_polygon_mesh_matches_dict_reference(polygon, h, times):
+    coarse = build_polygon_mesh(polygon, 100.0)    # the unrefined start
+    fine = build_polygon_mesh(polygon, h)
+    _assert_refined_like_reference(coarse, fine, times)
+
+
+# check_mesh: one corrupted field per failure branch ------------------------
+
+
+def test_check_mesh_rejects_duplicate_directed_edge():
+    m = build_structured_square(2)
+    twice = np.vstack([m.triangles, m.triangles[:1]])
+    bad = dataclasses.replace(m, triangles=twice)
+    with pytest.raises(MeshInvariantError, match="duplicate directed edge"):
+        check_mesh(bad)
+
+
+def test_check_mesh_rejects_interior_edge_labeled_boundary():
+    m = build_structured_square(2)
+    t = m.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    listed = set(map(tuple, m.boundary_edges))
+    interior = next(e for e in edges if tuple(e) not in listed)
+    bad = dataclasses.replace(
+        m, boundary_edges=np.vstack([m.boundary_edges, interior]))
+    with pytest.raises(MeshInvariantError, match="labeled boundary"):
+        check_mesh(bad)
+
+
+def test_check_mesh_rejects_missing_boundary_edge():
+    m = build_structured_square(2)
+    bad = dataclasses.replace(m, boundary_edges=m.boundary_edges[1:])
+    with pytest.raises(MeshInvariantError, match="missing from list"):
+        check_mesh(bad)
+
+
+def test_check_mesh_rejects_open_boundary_loop():
+    m = build_structured_square(2)
+    # a chord between two corners, no edge of any triangle
+    chord = np.array([[0, 8]])
+    assert not any(set(tri) >= {0, 8} for tri in m.triangles.tolist())
+    bad = dataclasses.replace(
+        m, boundary_edges=np.vstack([m.boundary_edges, chord]))
+    with pytest.raises(MeshInvariantError, match="closed loops"):
+        check_mesh(bad)
+
+
+def test_check_mesh_rejects_vertex_index_out_of_range():
+    m = build_structured_square(2)
+    stray = np.array([[0, m.num_vertices]])
+    bad = dataclasses.replace(
+        m, boundary_edges=np.vstack([m.boundary_edges, stray]))
+    with pytest.raises(MeshInvariantError, match="outside"):
+        check_mesh(bad)

@@ -15,8 +15,10 @@ from dtnlab.mesh import (
     quality,
     square_side_selector,
 )
+from dtnlab import spectral
 from dtnlab.semigroup import (
     build_semigroup,
+    check_order_hypotheses,
     domination_report,
     evolve,
     lp_contraction_report,
@@ -270,6 +272,26 @@ def test_order_reports_evaluate_no_field(monkeypatch):
     assert calls == []
     assert all(r.verdict == "PASS" for r in reports)
     assert all(row[-1] for row in rows)
+
+
+def test_dirichlet_eigenvalue_solved_once_per_system(monkeypatch):
+    sys_a = square_system(n=6, gamma0_sides=("left",))
+    sys_b = square_system(n=6, gamma0_sides=("left", "top"))
+    expected = [float(spectral.dirichlet_spectrum(s, 1).eigenvalues[0])
+                for s in (sys_a, sys_b)]
+    calls = []
+    original = spectral.dirichlet_spectrum
+
+    def counting(sys_, k):
+        calls.append(k)
+        return original(sys_, k)
+
+    monkeypatch.setattr(spectral, "dirichlet_spectrum", counting)
+    for _ in range(3):
+        check_order_hypotheses(sys_a)
+        check_order_hypotheses(sys_b, require_nonneg_potential=True)
+    assert calls == [1, 1]
+    assert [sys_a.dirichlet_lambda1, sys_b.dirichlet_lambda1] == expected
 
 
 def test_lp_infinity_norm_matches_constant_input(sg_mixed):
