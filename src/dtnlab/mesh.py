@@ -194,10 +194,13 @@ def _freeze(arr):
     return arr
 
 
-def _make_mesh(vertices, triangles, boundary_parent=None):
+def _make_mesh(vertices, triangles, boundary_parent=None, boundary=None):
+    """Frozen, checked Mesh; boundary is _extract_boundary(triangles, nv)
+    when the caller has already computed it."""
     vertices = np.asarray(vertices, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    boundary = _extract_boundary(triangles, len(vertices))
+    if boundary is None:
+        boundary = _extract_boundary(triangles, len(vertices))
     mesh = Mesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
@@ -477,7 +480,8 @@ def refine(mesh: Mesh) -> Mesh:
     if not np.all(_contains(parent_keys[by_key], split)):
         raise MeshInvariantError("refined boundary edge has no parent")
     boundary_parent = by_key[np.searchsorted(parent_keys[by_key], split)]
-    return _make_mesh(vertices, triangles, boundary_parent=boundary_parent)
+    return _make_mesh(vertices, triangles, boundary_parent=boundary_parent,
+                      boundary=boundary)
 
 
 def _partition_from_flags(mesh: Mesh, flags) -> BoundaryPartition:

@@ -12,6 +12,7 @@ intertwiner on computed eigenspaces, trace subspace angles).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,9 @@ MAX_STEPS = 60
 # Computed eigenvalues closer than this times the pencil scale are one
 # cluster for the inertia certificate.
 INERTIA_RTOL = 1e-8
+# Mass matrices whose factor is kept (_mass_factor): the two systems of a
+# gauge comparison alternate.
+MASS_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,12 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
       problem (LAPACK).
     - sparse: every other sparse pencil.  K - sigma*G is factored by
       SuperLU without row pivoting, with sigma below the whole spectrum,
-      and that factorization drives shift-invert Lanczos (ARPACK) for the
-      k+1 eigenpairs nearest sigma.
+      and that factorization drives shift-invert Lanczos (ARPACK, standard
+      mode, see _shift_invert) for the k+1 eigenpairs nearest sigma.  G
+      is factored as G = R R^T once per distinct matrix: the factor, the
+      proof that G is positive definite and its norm are cached under a
+      digest of G's data (see _mass_factor), so repeated solves with one
+      mass matrix factor it once.
 
     Certificate (sparse path): without row pivoting the factorization is
     an LDL^T one, so by Sylvester's law of inertia its negative pivots
@@ -189,9 +197,9 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     K = _symmetrized("K", K)
-    G = _symmetrized("G", G)
     if use_sparse:
-        return _sparse_geneig(K, G, k, shift_hint)
+        return _sparse_geneig(K, _mass_factor(G), k, shift_hint)
+    G = _symmetrized("G", G)
     try:
         scipy.linalg.cholesky(G)
     except scipy.linalg.LinAlgError as exc:
@@ -208,12 +216,14 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
 def eigenvalue_count(K, G, sigma: float) -> int:
     """Number of eigenvalues of the sparse pencil (K, G) below sigma.
 
-    G must be symmetric positive definite.  Raises SolverError when the
-    count is not available: K - sigma*G singular (sigma is an
-    eigenvalue) or not factorable without row pivoting.
+    G must be symmetric positive definite; it is proved so (through the
+    cached mass factor, see _mass_factor) and NotPositiveDefiniteError
+    raised otherwise.  Raises SolverError when the count is not
+    available: K - sigma*G singular (sigma is an eigenvalue) or not
+    factorable without row pivoting.
     """
     K = _symmetrized("K", sp.csc_matrix(K))
-    G = _symmetrized("G", sp.csc_matrix(G))
+    G = _mass_factor(G).G
     _, below = _ldl(K - sigma * G)
     if below is None:
         raise SolverError(f"no inertia count at {sigma!r}")
@@ -253,22 +263,79 @@ def _ldl(C):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _shift_invert(K, G, sigma, lu, nev):
+@dataclass(frozen=True)
+class _MassFactor:
+    """A symmetric positive definite G (symmetrized), a factor R with
+    G = R R^T, and the 1-norm of G."""
+
+    G: sp.csc_matrix
+    R: sp.csc_matrix
+    norm1: float
+
+
+# digest of G's data -> _MassFactor, oldest entry evicted first
+_MASS_FACTORS: dict = {}
+
+
+def _mass_factor(G) -> _MassFactor:
+    """G checked symmetric and proved positive definite, with its factor.
+
+    The proof is an LDL^T factorization (_ldl) without a negative pivot;
+    R = P^T L D^{1/2} from it satisfies G = R R^T.  Records are cached
+    under a digest of G's shape, dtype and CSC arrays, never its
+    identity, so a record certifies exactly the data it was computed
+    from.  Raises ValueError for an asymmetric G and
+    NotPositiveDefiniteError when the factorization has a negative pivot,
+    is singular or needs row pivoting.
+    """
+    G = sp.csc_matrix(G)
+    h = hashlib.blake2b(digest_size=32)
+    h.update(repr((G.shape, G.dtype.str, G.indptr.dtype.str,
+                   G.indices.dtype.str)).encode())
+    for arr in (G.indptr, G.indices, G.data):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    key = h.digest()
+    mass = _MASS_FACTORS.get(key)
+    if mass is not None:
+        return mass
+    G = _symmetrized("G", G)
+    lu, below = _ldl(G)
+    if below != 0:
+        raise NotPositiveDefiniteError("G is not positive definite")
+    R = sp.csc_matrix(lu.L[lu.perm_r, :] @ sp.diags(np.sqrt(lu.U.diagonal())))
+    mass = _MassFactor(G=G, R=R, norm1=float(spla.norm(G, 1)))
+    if len(_MASS_FACTORS) >= MASS_CACHE_SIZE:
+        del _MASS_FACTORS[next(iter(_MASS_FACTORS))]
+    _MASS_FACTORS[key] = mass
+    return mass
+
+
+def _shift_invert(mass, sigma, lu, nev):
     """The nev eigenpairs of (K, G) nearest sigma, ascending.
 
-    lu factors K - sigma*G.  The fixed start vector makes repeated solves
-    bit-identical.  It is pseudo-random because G @ ones is orthogonal to
-    every eigenvector that is odd under an exact symmetry of the pencil.
+    lu factors K - sigma*G and mass is G's record from _mass_factor,
+    with G = R R^T.  Lanczos (ARPACK) runs in standard mode on the
+    symmetric operator y -> -R^T (K - sigma*G)^{-1} R y, whose eigenvalues
+    are w = 1/(sigma - lambda): negated so that ascending w is ascending
+    lambda, and no G-products inside the iteration.  Eigenvalues come
+    back as lambda = sigma - 1/w and eigenvectors as
+    x = (K - sigma*G)^{-1} R y, scaled to G-norm 1.  The fixed start
+    vector makes repeated solves bit-identical.  It is pseudo-random so
+    that no eigenvector is missing from it by a symmetry of the pencil.
     """
-    n = K.shape[0]
+    R, Rt = mass.R, mass.R.T
+    n = R.shape[0]
     nev = min(nev, n - 1)
-    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    vals, vecs = spla.eigsh(
-        K, k=nev, M=G, sigma=sigma, which="LM", OPinv=op,
+    op = spla.LinearOperator((n, n), matvec=lambda y: -(Rt @ lu.solve(R @ y)),
+                             dtype=float)
+    w, ys = spla.eigsh(
+        op, k=nev, which="LM",
         ncv=min(n, max(2 * nev + 1, NCV_MIN)),
         v0=np.random.default_rng(0).standard_normal(n))
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    order = np.argsort(w)
+    vecs = lu.solve(R @ ys[:, order])
+    vecs /= np.sqrt(np.sum(vecs * (mass.G @ vecs), axis=0))
+    return sigma - 1.0 / w[order], vecs
 
 
 def _shift_below(K, G, scale, hint):
@@ -326,10 +393,9 @@ def _certificate_point(vals, k, tol):
     return vals[j] - 0.5 * tol, j
 
 
-def _sparse_geneig(K, G, k, shift_hint):
-    if _ldl(G)[1] != 0:
-        raise NotPositiveDefiniteError("G is not positive definite")
-    scale = spla.norm(K, 1) / spla.norm(G, 1) or 1.0
+def _sparse_geneig(K, mass, k, shift_hint):
+    G = mass.G
+    scale = spla.norm(K, 1) / mass.norm1 or 1.0
     tol = INERTIA_RTOL * scale
     sigma, lu = _shift_below(K, G, scale, shift_hint)
     for attempt in range(2):
@@ -340,7 +406,7 @@ def _sparse_geneig(K, G, k, shift_hint):
             if lu is None:
                 break
         try:
-            vals, vecs = _shift_invert(K, G, sigma, lu, k + 1)
+            vals, vecs = _shift_invert(mass, sigma, lu, k + 1)
         except spla.ArpackError as exc:
             reason = str(exc)
             continue
@@ -402,14 +468,15 @@ def _robin_pairs_at(sys, mu, lam, tol):
     by construction, where the factorization is singular).
     """
     K = _symmetrized("K", robin_matrix(sys, mu))
-    _, below = _ldl(K - (lam - tol) * sys.M)
-    lu, upto = _ldl(K - (lam + tol) * sys.M)
+    mass = _mass_factor(sys.M)
+    _, below = _ldl(K - (lam - tol) * mass.G)
+    lu, upto = _ldl(K - (lam + tol) * mass.G)
     if below is None or upto is None:
         raise SolverError(f"no inertia count near {lam!r} at mu={mu!r}")
     mult = upto - below
     if mult == 0:
         return np.zeros((sys.n_free, 0))
-    vals, vecs = _shift_invert(K, sys.M, lam + tol, lu, mult + 1)
+    vals, vecs = _shift_invert(mass, lam + tol, lu, mult + 1)
     keep = np.abs(vals - lam) <= tol
     if np.count_nonzero(keep) != mult:
         raise SolverError(f"found {np.count_nonzero(keep)} of {mult} Robin "
@@ -511,14 +578,20 @@ def dirichlet_limit_study(sys: AssembledSystem, k: int,
 
     Report-only: records whether every gap is positive, whether gaps
     shrink monotonically along the list, and whether they shrink by at
-    least a factor 5 per decade of |mu|.
+    least a factor 5 per decade of |mu|.  The Robin eigenvalues do not
+    decrease as mu decreases, so each smallest eigenvalue is the shift
+    hint for the next mu (an inertia count checks it each time).
     """
     mu_list = np.asarray(list(mu_list), dtype=float)
     if np.any(mu_list >= 0) or np.any(np.diff(mu_list) >= 0):
         raise ValueError("mu_list must be strictly decreasing negatives")
     dvals = dirichlet_spectrum(sys, k).eigenvalues
-    rvals = np.array([robin_spectrum(sys, mu, k).eigenvalues
-                      for mu in mu_list])
+    rows = []
+    hint = None
+    for mu in mu_list:
+        rows.append(robin_spectrum(sys, mu, k, shift_hint=hint).eigenvalues)
+        hint = float(rows[-1][0])
+    rvals = np.array(rows)
     gaps = dvals[None, :] - rvals
     ratios = gaps[:-1] / gaps[1:]
     decades = np.log10(np.abs(mu_list[1:]) / np.abs(mu_list[:-1]))

@@ -298,6 +298,18 @@ def test_polygon_mesh_matches_dict_reference(polygon, h, times):
     _assert_refined_like_reference(coarse, fine, times)
 
 
+def test_refine_extracts_the_boundary_once(monkeypatch):
+    import dtnlab.mesh as mesh_module
+
+    coarse = build_structured_square(4)
+    calls = []
+    real = mesh_module._extract_boundary
+    monkeypatch.setattr(mesh_module, "_extract_boundary",
+                        lambda *args: calls.append(1) or real(*args))
+    refine(coarse)
+    assert len(calls) == 1
+
+
 # check_mesh: one corrupted field per failure branch ------------------------
 
 

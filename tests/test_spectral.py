@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dtnlab.assemble import assemble, robin_matrix
+from dtnlab import spectral
+from dtnlab.assemble import assemble, dirichlet_system, robin_matrix
 from dtnlab.coeffs import CoefficientSet, certify, radial_bump_diffeo
 from dtnlab.errors import DtnLabError, NotPositiveDefiniteError, SolverError
 from dtnlab.mesh import build_structured_square, partition_boundary
@@ -181,6 +182,58 @@ def test_eigenvalue_count_matches_dense(mixed24):
         assert eigenvalue_count(K, mixed24.M, sigma) == np.sum(vals < sigma)
 
 
+def test_eigenvalue_count_rejects_indefinite_G():
+    with pytest.raises(NotPositiveDefiniteError):
+        eigenvalue_count(np.eye(3), np.diag([-1.0, 1.0, 1.0]), 0.5)
+
+
+def count_factorizations(monkeypatch, of=None):
+    """Record every _ldl call (only those whose argument equals `of`, if
+    given) and start from an empty mass-factor cache."""
+    calls = []
+    real = spectral._ldl
+
+    def counting(C):
+        if of is None or (C.shape == of.shape and (C != of).nnz == 0):
+            calls.append(C.shape)
+        return real(C)
+
+    monkeypatch.setattr(spectral, "_ldl", counting)
+    monkeypatch.setattr(spectral, "_MASS_FACTORS", {})
+    return calls
+
+
+def test_eigen_curves_factor_the_mass_matrix_once(mixed24, monkeypatch):
+    calls = count_factorizations(monkeypatch, of=mixed24.M)
+    eigen_curves(mixed24, -20.0, 20.0, 5, 3)
+    assert len(calls) == 1
+
+
+def test_mass_factor_is_keyed_by_data(mixed24):
+    K = robin_matrix(mixed24, 0.0)
+    sym_geneig(K, mixed24.M, 2)           # a positive definite G, cached
+    G = mixed24.M.tocsc(copy=True)
+    G[0, 0] = -G[0, 0]                    # same shape and sparsity
+    assert G.nnz == mixed24.M.nnz
+    with pytest.raises(NotPositiveDefiniteError):
+        sym_geneig(K, G, 2)
+    with pytest.raises(NotPositiveDefiniteError):
+        eigenvalue_count(K, G, 0.0)
+
+
+def test_nearest_dirichlet_eigenvalue_factors_mass_once(mixed24, monkeypatch):
+    from dtnlab.dtn import nearest_dirichlet_eigenvalue
+
+    _, M_D = dirichlet_system(mixed24)
+    calls = count_factorizations(monkeypatch, of=M_D)
+    lam = nearest_dirichlet_eigenvalue(mixed24, 30.0)
+    assert len(calls) == 1
+    want = scipy.linalg.eigh(*(m.toarray() for m in dirichlet_system(mixed24)),
+                             eigvals_only=True)
+    assert lam == pytest.approx(want[np.argmin(np.abs(want - 30.0))],
+                                rel=1e-10)
+
+
 def test_cluster_indices():
     vals = np.array([1.0, 1.0 + 1e-9, 2.0, 3.0, 3.0, 3.0])
     groups = cluster_indices(vals)
@@ -320,6 +373,26 @@ def test_limit_study_cluster_convergence():
     # the near-degenerate pair (indices 2, 3) converges as a cluster
     pair_gap = study.gaps[:, 1] + study.gaps[:, 2]
     assert pair_gap[1] < pair_gap[0] / 5
+
+
+def test_limit_study_shift_hints(mixed24, monkeypatch):
+    k, mu_list = 4, [-100.0, -1000.0, -10000.0]
+
+    def hint_free():
+        dirichlet_spectrum(mixed24, k)
+        return [robin_spectrum(mixed24, mu, k).eigenvalues for mu in mu_list]
+
+    want = hint_free()                    # fills the mass-factor cache
+    calls = []
+    real = spectral._ldl
+    monkeypatch.setattr(spectral, "_ldl", lambda C: calls.append(1) or real(C))
+    hint_free()
+    without_hints = len(calls)
+    calls.clear()
+    study = dirichlet_limit_study(mixed24, k, mu_list)
+    for got, expect in zip(study.robin_values, want):
+        np.testing.assert_allclose(got, expect, rtol=1e-10, atol=0)
+    assert len(calls) < without_hints
 
 
 def test_limit_study_requires_decreasing_negatives():
