@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from dtnlab import spectral
 from dtnlab.assemble import assemble, dirichlet_system, robin_matrix
 from dtnlab.coeffs import CoefficientSet, certify, radial_bump_diffeo
+from dtnlab.dtn import nearest_dirichlet_eigenvalue
 from dtnlab.errors import DtnLabError, NotPositiveDefiniteError, SolverError
 from dtnlab.mesh import build_structured_square, partition_boundary
 from dtnlab.spectral import (
@@ -222,8 +223,6 @@ def test_mass_factor_is_keyed_by_data(mixed24):
 
 
 def test_nearest_dirichlet_eigenvalue_factors_mass_once(mixed24, monkeypatch):
-    from dtnlab.dtn import nearest_dirichlet_eigenvalue
-
     _, M_D = dirichlet_system(mixed24)
     calls = count_factorizations(monkeypatch, of=M_D)
     lam = nearest_dirichlet_eigenvalue(mixed24, 30.0)
