@@ -316,12 +316,15 @@ def _shift_invert(mass, sigma, lu, nev):
     lu factors K - sigma*G and mass is G's record from _mass_factor,
     with G = R R^T.  Lanczos (ARPACK) runs in standard mode on the
     symmetric operator y -> -R^T (K - sigma*G)^{-1} R y, whose eigenvalues
-    are w = 1/(sigma - lambda): negated so that ascending w is ascending
-    lambda, and no G-products inside the iteration.  Eigenvalues come
-    back as lambda = sigma - 1/w and eigenvectors as
-    x = (K - sigma*G)^{-1} R y, scaled to G-norm 1.  The fixed start
-    vector makes repeated solves bit-identical.  It is pseudo-random so
-    that no eigenvector is missing from it by a symmetry of the pencil.
+    are w = 1/(sigma - lambda), so no G-product is made inside the
+    iteration.  The sign makes ARPACK's ascending order of w the ascending
+    order of lambda whenever sigma lies below the spectrum, as in
+    _sparse_geneig.  Eigenvalues come back as lambda = sigma - 1/w, sorted
+    by lambda, so ascending for any sigma (also one inside the spectrum,
+    as in _robin_pairs_at); eigenvectors as x = (K - sigma*G)^{-1} R y,
+    scaled to G-norm 1.  The fixed start vector makes repeated solves
+    bit-identical.  It is pseudo-random so that no eigenvector is missing
+    from it by a symmetry of the pencil.
     """
     R, Rt = mass.R, mass.R.T
     n = R.shape[0]
@@ -332,10 +335,11 @@ def _shift_invert(mass, sigma, lu, nev):
         op, k=nev, which="LM",
         ncv=min(n, max(2 * nev + 1, NCV_MIN)),
         v0=np.random.default_rng(0).standard_normal(n))
-    order = np.argsort(w)
+    lam = sigma - 1.0 / w
+    order = np.argsort(lam)
     vecs = lu.solve(R @ ys[:, order])
     vecs /= np.sqrt(np.sum(vecs * (mass.G @ vecs), axis=0))
-    return sigma - 1.0 / w[order], vecs
+    return lam[order], vecs
 
 
 def _shift_below(K, G, scale, hint):

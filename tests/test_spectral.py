@@ -222,6 +222,22 @@ def test_mass_factor_is_keyed_by_data(mixed24):
         eigenvalue_count(K, G, 0.0)
 
 
+def test_shift_invert_ascending_with_shift_inside_spectrum(mixed24):
+    K = robin_matrix(mixed24, 0.0)
+    every = dense_values(K, mixed24.M, 12)
+    sigma = 0.5 * (every[3] + every[4])   # inside the spectrum
+    want = np.sort(every[np.argsort(np.abs(every - sigma))[:4]])
+    assert want[0] < sigma < want[-1]
+    K = K.tocsc()
+    lu, _ = spectral._ldl(K - sigma * mixed24.M)
+    vals, vecs = spectral._shift_invert(spectral._mass_factor(mixed24.M),
+                                        sigma, lu, 4)
+    np.testing.assert_allclose(vals, want, rtol=1e-10)
+    np.testing.assert_allclose(
+        np.abs(K @ vecs - (mixed24.M @ vecs) * vals).max(), 0.0,
+        atol=1e-8 * abs(K).max())
+
+
 def test_nearest_dirichlet_eigenvalue_factors_mass_once(mixed24, monkeypatch):
     _, M_D = dirichlet_system(mixed24)
     calls = count_factorizations(monkeypatch, of=M_D)

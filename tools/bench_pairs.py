@@ -2,16 +2,17 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py --parent REV --change REV \
-        [--workload W ...] [--pairs 10] [--seed 41] [--seconds 25] [--trace]
+    python3 tools/bench_pairs.py --parent REV --change REV [--seed 41] [--trace]
 
 Both commits are cloned from this repository into one temporary
 directory, so each side runs from its committed files only.  For every
-workload (default: all of BENCHMARK.json) the script runs
+workload of BENCHMARK.json the script runs
 
     python3 bench/run.py --workload W --seed S --seconds T
 
-in each clone for N alternating pairs: pair i runs the parent first when
+with T the run_seconds of BENCHMARK.json, in each clone for PAIRS = 10
+alternating pairs (the number a claimed gain is judged on, so fewer
+cannot make a BENCH file): pair i runs the parent first when
 i is even and the change first when it is odd, so drift of the machine
 falls on both sides alike.  With --trace it then runs each side once more
 with ``--trace 1`` and stores that run's per-layer metrics.
@@ -42,6 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_ENV = ("DTNLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
               "MKL_NUM_THREADS")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git(*args, cwd=ROOT):
@@ -116,37 +118,31 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, help="parent commit")
     p.add_argument("--change", required=True, help="changed commit")
-    p.add_argument("--workload", action="append",
-                   help="workload to run (repeatable; default all)")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=41)
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--trace", action="store_true",
                    help="also one traced run per side and workload")
-    p.add_argument("--out", default=ROOT, help="directory of the BENCH file")
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 (quartiles need two runs)")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     shas = {"parent": git("rev-parse", args.parent),
             "change": git("rev-parse", args.change)}
     command = (f"python3 bench/run.py --workload W --seed {args.seed} "
-               f"--seconds {args.seconds:g}"
+               f"--seconds {seconds:g}"
                + (" [--trace 1]" if args.trace else "")
                + ", run in a fresh clone of each commit")
     out = {
         "what": f"bench/run.py end-to-end metrics, parent commit vs change, "
-                f"{args.pairs} alternating pairs per workload (pair i runs "
+                f"{PAIRS} alternating pairs per workload (pair i runs "
                 f"the parent first when i is even, the change first when odd)"
                 + (", plus one traced run per side" if args.trace else ""),
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "command": command,
         "seed": args.seed,
-        "run_seconds": args.seconds,
+        "run_seconds": seconds,
         "quartiles": "statistics.quantiles(method='inclusive') over the "
                      "runs of one side (numpy.percentile 25/75, linear)",
         "machine": machine(),
@@ -159,17 +155,17 @@ def main(argv=None):
             checkout(shas[side], clones[side])
         for w in workloads:
             results = {side: [] for side in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    r = run_bench(clones[side], w, args.seed, args.seconds,
+                    r = run_bench(clones[side], w, args.seed, seconds,
                                   trace=False)
                     results[side].append(r)
                     print(f"{w} pair {i} {side}: wall_s "
                           f"{r['metrics']['wall_s']['value']:.4f} failed "
                           f"{r['failed']}/{r['attempted']}", flush=True)
             entry = {
-                "pairs": args.pairs,
+                "pairs": PAIRS,
                 "attempted": {s: sum(r["attempted"] for r in results[s])
                               for s in SIDES},
                 "failed": {s: sum(r["failed"] for r in results[s])
@@ -188,7 +184,7 @@ def main(argv=None):
             if args.trace:
                 entry["traced"] = {}
                 for side in SIDES:
-                    r = run_bench(clones[side], w, args.seed, args.seconds,
+                    r = run_bench(clones[side], w, args.seed, seconds,
                                   trace=True)
                     entry["traced"][side] = {
                         "wall_s": r["end_to_end"]["wall_s"],
@@ -198,7 +194,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    path = os.path.join(args.out, f"BENCH_{shas['change']}.json")
+    path = os.path.join(ROOT, f"BENCH_{shas['change']}.json")
     with open(path, "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")
