@@ -28,7 +28,7 @@ from .coeffs import (
     _sample_fields,
     quadrature_points,
 )
-from .errors import EmptyInteriorError
+from .errors import EmptyInteriorError, SolverError
 
 __all__ = [
     "AssembledSystem",
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _MAT_HEADER = "DTNLAB-MAT v1"
+
+# a Dirichlet eigenvalue within ZERO_RTOL * max|A| of 0 counts as 0
+ZERO_RTOL = 1e-10
 
 # P1 hat values at the edge-midpoint quadrature nodes (m01, m12, m20):
 # row = basis function, column = node
@@ -88,6 +91,29 @@ class AssembledSystem:
     def boundary_dof_vertices(self):
         """Mesh vertex index of each gamma1 boundary dof."""
         return self.free_vertices[self.boundary_dofs]
+
+    @cached_property
+    def dirichlet_positive(self):
+        """Whether every Dirichlet eigenvalue exceeds ZERO_RTOL * max|A|.
+
+        Proved by one Sylvester inertia count at that threshold, made on
+        first use only; no eigenpair is solved.  True when there are no
+        interior dofs.  False when the count finds an eigenvalue below
+        the threshold, and also when it is unavailable (SolverError: the
+        threshold is an eigenvalue, or the factorization pivoted), so
+        that a caller falls back to dirichlet_lambda1.
+        """
+        from .spectral import eigenvalue_count   # spectral imports us
+
+        try:
+            A_D, M_D = dirichlet_system(self)
+        except EmptyInteriorError:
+            return True
+        try:
+            return eigenvalue_count(
+                A_D, M_D, ZERO_RTOL * float(np.abs(self.A).max())) == 0
+        except SolverError:
+            return False
 
     @cached_property
     def dirichlet_lambda1(self):

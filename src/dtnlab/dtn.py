@@ -10,6 +10,12 @@ phi, psi one has psi^T S(lambda) phi = energy form of the two harmonic
 extensions.  Paired with the gamma1 boundary mass Bb, the generalized
 pair (S, Bb) is the boundary operator all spectral and semigroup
 computations consume; the explicit product Bb^{-1} S is never formed.
+
+C is formed once per call and stays sparse, its coupling blocks C_BI
+and C_IB included: C_II enters only through its SuperLU factorization,
+and C_IB is made dense only as the right-hand side of that solve.  S and
+Bb (b x b, b the number of gamma1 dofs) are the only dense matrices
+returned.
 """
 
 from __future__ import annotations
@@ -77,9 +83,12 @@ class SmoothnessReport:
 
 
 class _InteriorSolve:
-    """LU factorization of the interior block with a condition estimate."""
+    """LU factorization of the interior block with a condition estimate.
 
-    def __init__(self, sys: AssembledSystem, lam: float):
+    C is the caller's sparse A - lam*M on the free dofs.
+    """
+
+    def __init__(self, sys: AssembledSystem, lam: float, C):
         self.lam = lam
         idx = sys.interior_dofs
         self.size = len(idx)
@@ -87,7 +96,6 @@ class _InteriorSolve:
             self.cond = 1.0
             self._lu = None
             return
-        C = (sys.A - lam * sys.M).tocsc()
         T = C[idx, :][:, idx]
         try:
             self._lu = spla.splu(T.tocsc())
@@ -131,8 +139,8 @@ def harmonic_extension(sys: AssembledSystem, lam: float,
     phi = np.asarray(phi, dtype=float)
     if phi.ndim not in (1, 2) or phi.shape[0] != len(sys.boundary_dofs):
         raise ValueError("phi must be indexed by the gamma1 boundary dofs")
-    solver = _InteriorSolve(sys, lam)
     C = (sys.A - lam * sys.M).tocsr()
+    solver = _InteriorSolve(sys, lam, C)
     u = np.zeros((sys.n_free,) + phi.shape[1:])
     u[sys.boundary_dofs] = phi
     if solver.size:
@@ -146,18 +154,20 @@ def harmonic_extension(sys: AssembledSystem, lam: float,
 
 
 def dtn_matrix(sys: AssembledSystem, lam: float) -> DtnMatrix:
-    """Schur complement of A - lambda*M over the interior dofs."""
-    solver = _InteriorSolve(sys, lam)
+    """Schur complement of A - lambda*M over the interior dofs.
+
+    S = C_BB - C_BI (C_II^{-1} C_IB) with C = A - lambda*M.  The coupling
+    blocks stay sparse: C_BI multiplies the dense solve C_II^{-1} C_IB
+    as a sparse matrix, so no BLAS product runs between sparse solves.
+    S and Bb are the only dense b x b results.
+    """
     bd = sys.boundary_dofs
     idx = sys.interior_dofs
     C = (sys.A - lam * sys.M).tocsc()
-    C_BB = C[bd, :][:, bd].toarray()
+    solver = _InteriorSolve(sys, lam, C)
+    S = C[bd, :][:, bd].toarray()
     if solver.size:
-        C_IB = C[idx, :][:, bd].toarray()
-        C_BI = C[bd, :][:, idx].toarray()
-        S = C_BB - C_BI @ solver.solve(C_IB)
-    else:
-        S = C_BB
+        S -= C[bd, :][:, idx] @ solver.solve(C[idx, :][:, bd].toarray())
     Bb = sys.B[bd, :][:, bd].toarray()
     return DtnMatrix(S=S, Bb=Bb, lam=float(lam),
                      cond_interior=solver.cond, boundary_dofs=bd.copy())

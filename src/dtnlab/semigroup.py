@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assemble import AssembledSystem, lumped_boundary_weights
+from .assemble import ZERO_RTOL, AssembledSystem, lumped_boundary_weights
 from .dtn import dtn_matrix
 from .errors import HypothesisViolationError
 from .mesh import quality
@@ -125,17 +125,25 @@ def check_order_hypotheses(sys: AssembledSystem,
     Symmetric coefficients, an accretive and invertible Dirichlet
     operator, and optionally a nonnegative potential and zero drift.
     Raises HypothesisViolationError otherwise.
+
+    The Dirichlet operator passes when its smallest eigenvalue lambda_1
+    exceeds ZERO_RTOL * max|A|.  One Sylvester inertia count per system
+    proves that (sys.dirichlet_positive, cached).  lambda_1 itself is
+    solved only when the count finds an eigenvalue at or below that
+    threshold or is unavailable; its value then decides and words the
+    error: below -ZERO_RTOL * max|A| the operator is not accretive,
+    otherwise 0 lies in the discrete Dirichlet spectrum.
     """
     if not sys.symmetric:
         raise HypothesisViolationError("coefficient set is not symmetric")
-    lam1 = sys.dirichlet_lambda1
-    if lam1 is not None:
-        scale = float(np.abs(sys.A).max())
-        if lam1 < -1e-10 * scale:
+    if not sys.dirichlet_positive:
+        lam1 = sys.dirichlet_lambda1
+        tol = ZERO_RTOL * float(np.abs(sys.A).max())
+        if lam1 < -tol:
             raise HypothesisViolationError(
                 f"Dirichlet operator not accretive (smallest eigenvalue {lam1:.3e})"
             )
-        if abs(lam1) <= 1e-10 * scale:
+        if abs(lam1) <= tol:
             raise HypothesisViolationError(
                 "0 lies in the discrete Dirichlet spectrum"
             )
@@ -261,15 +269,22 @@ def _same_fields(a: AssembledSystem, b: AssembledSystem,
     return ok
 
 
-def domination_report(sysA: AssembledSystem, sysB: AssembledSystem,
-                      t_list, trials: int, seed: int = 0,
-                      lam: float = 0.0) -> OrderReport:
+def _same_lam(sg_a: BoundarySemigroup, sg_b: BoundarySemigroup) -> None:
+    if sg_a.lam != sg_b.lam:
+        raise ValueError(f"semigroups built at different lambda "
+                         f"({sg_a.lam!r} and {sg_b.lam!r})")
+
+
+def domination_report(sgA: BoundarySemigroup, sgB: BoundarySemigroup,
+                      t_list, trials: int, seed: int = 0) -> OrderReport:
     """Entrywise comparison 0 <= T_B <= T_A for nested constraints.
 
-    sysB must constrain at least the gamma0 edges of sysA (same mesh
-    and coefficients); more Dirichlet boundary pushes the evolution
-    down.
+    sgB's system must constrain at least the gamma0 edges of sgA's (same
+    mesh and coefficients, semigroups at the same lambda); more
+    Dirichlet boundary pushes the evolution down.
     """
+    _same_lam(sgA, sgB)
+    sysA, sysB = sgA.sys, sgB.sys
     if not _same_mesh(sysA, sysB):
         raise ValueError("domination needs both systems on the same mesh")
     if not _same_fields(sysA, sysB):
@@ -281,21 +296,23 @@ def domination_report(sysA: AssembledSystem, sysB: AssembledSystem,
                          "contained in gamma0(B)")
     check_order_hypotheses(sysA)
     check_order_hypotheses(sysB)
-    sgs = (build_semigroup(sysA, lam), build_semigroup(sysB, lam))
-    return _order_report("domination", sgs, t_list, trials, seed,
+    return _order_report("domination", (sgA, sgB), t_list, trials, seed,
                          _uniform, _not_dominated)
 
 
-def potential_monotonicity_report(sys_a: AssembledSystem,
-                                  sys_b: AssembledSystem,
-                                  t_list, trials: int, seed: int = 0,
-                                  lam: float = 0.0) -> OrderReport:
+def potential_monotonicity_report(sg_a: BoundarySemigroup,
+                                  sg_b: BoundarySemigroup,
+                                  t_list, trials: int,
+                                  seed: int = 0) -> OrderReport:
     """Entrywise comparison 0 <= T^{b0} <= T^{a0} for ordered potentials.
 
     Both systems must share the mesh, partition, matrix coefficient and
-    have zero drift; the potential of sys_b must dominate that of
-    sys_a at the quadrature samples.
+    have zero drift, and both semigroups the same lambda; the potential
+    of sg_b's system must dominate that of sg_a's at the quadrature
+    samples.
     """
+    _same_lam(sg_a, sg_b)
+    sys_a, sys_b = sg_a.sys, sg_b.sys
     if not _same_mesh(sys_a, sys_b):
         raise ValueError("potential comparison needs the same mesh")
     if not np.array_equal(sys_a.part.gamma0_edges, sys_b.part.gamma0_edges):
@@ -306,9 +323,8 @@ def potential_monotonicity_report(sys_a: AssembledSystem,
         raise ValueError("potential ordering violated: need b0 >= a0")
     check_order_hypotheses(sys_a, require_zero_drift=True)
     check_order_hypotheses(sys_b, require_zero_drift=True)
-    sgs = (build_semigroup(sys_a, lam), build_semigroup(sys_b, lam))
-    return _order_report("potential_monotonicity", sgs, t_list, trials,
-                         seed, _uniform, _not_dominated)
+    return _order_report("potential_monotonicity", (sg_a, sg_b), t_list,
+                         trials, seed, _uniform, _not_dominated)
 
 
 def lp_contraction_report(sg: BoundarySemigroup, t_list,

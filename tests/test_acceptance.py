@@ -207,12 +207,12 @@ def test_acceptance_5_semigroup_order():
     assert pos.verdict == "PASS" and pos.min_entry >= -1e-8
     sub = submarkov_report(sg_left, t_list, trials=50, seed=1)
     assert sub.verdict == "PASS" and sub.violation <= 1e-8
-    dom = domination_report(sys_free, sys_left, t_list, trials=50, seed=2)
+    dom = domination_report(sg_free, sg_left, t_list, trials=50, seed=2)
     assert dom.verdict == "PASS" and dom.violation <= 1e-8
     sys_up = assemble(mesh, part_left, CoefficientSet.make(a0=5.0),
                       lump_boundary_mass=True)
-    pot = potential_monotonicity_report(sys_left, sys_up, t_list,
-                                        trials=50, seed=3)
+    pot = potential_monotonicity_report(sg_left, build_semigroup(sys_up),
+                                        t_list, trials=50, seed=3)
     assert pot.verdict == "PASS" and pot.violation <= 1e-8
 
     rng = np.random.default_rng(4)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dtnlab import __version__
+from dtnlab import __version__, semigroup
 from dtnlab.cli import DEFAULT_CONFIG, resolve_config, run
 
 FAST_CONFIG = {
@@ -118,6 +118,24 @@ def test_semigroup_subcommand(tmp_path, fast_config):
                 "--quiet"]) == 0
     header = (out / "semigroup.csv").read_text().splitlines()[1]
     assert header == "check,t,trial,min_entry,max_entry,violation,verdict"
+
+
+def test_semigroup_subcommand_builds_each_semigroup_once(tmp_path,
+                                                         fast_config,
+                                                         monkeypatch):
+    # one Schur complement each for the system, its nested-gamma0 twin and
+    # its raised-potential twin
+    calls = []
+    original = semigroup.dtn_matrix
+
+    def counting(sys_, lam):
+        calls.append(lam)
+        return original(sys_, lam)
+
+    monkeypatch.setattr(semigroup, "dtn_matrix", counting)
+    assert run(["semigroup", "--config", fast_config,
+                "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    assert len(calls) == 3
 
 
 def test_resolve_config_merges_defaults():

@@ -1,6 +1,7 @@
 """Boundary semigroup order properties at desk scale."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -171,7 +172,9 @@ def test_submarkov_rejects_negative_potential():
 def test_domination_nested_partitions():
     sys_free = square_system(n=8, gamma0_sides=(), lumped=True)
     sys_left = square_system(n=8, gamma0_sides=("left",), lumped=True)
-    rep = domination_report(sys_free, sys_left, T_LIST, trials=20, seed=2)
+    rep = domination_report(build_semigroup(sys_free),
+                            build_semigroup(sys_left), T_LIST, trials=20,
+                            seed=2)
     assert rep.verdict == "PASS"
     assert rep.violation <= 1e-8
 
@@ -191,22 +194,25 @@ def test_domination_rejects_non_nested():
     sys_left = square_system(n=8, gamma0_sides=("left",), lumped=True)
     sys_right = square_system(n=8, gamma0_sides=("right",), lumped=True)
     with pytest.raises(ValueError):
-        domination_report(sys_left, sys_right, (1.0,), trials=2)
+        domination_report(build_semigroup(sys_left),
+                          build_semigroup(sys_right), (1.0,), trials=2)
 
 
 def test_potential_monotonicity():
     sys_a = square_system(n=8, gamma0_sides=("left",), lumped=True)
     sys_b = square_system(n=8, gamma0_sides=("left",),
                           coeffs=CoefficientSet.make(a0=5.0), lumped=True)
-    rep = potential_monotonicity_report(sys_a, sys_b, T_LIST, trials=20,
-                                        seed=3)
+    rep = potential_monotonicity_report(build_semigroup(sys_a),
+                                        build_semigroup(sys_b), T_LIST,
+                                        trials=20, seed=3)
     assert rep.verdict == "PASS"
     assert rep.violation <= 1e-8
 
 
 def test_potential_equal_gives_equality():
     sys_a = square_system(n=4, gamma0_sides=("left",), lumped=True)
-    rep = potential_monotonicity_report(sys_a, sys_a, (0.5,), trials=5)
+    sg_a = build_semigroup(sys_a)
+    rep = potential_monotonicity_report(sg_a, sg_a, (0.5,), trials=5)
     assert rep.violation <= 1e-12
 
 
@@ -215,7 +221,9 @@ def test_potential_rejects_wrong_order():
     sys_b = square_system(n=4, gamma0_sides=("left",),
                           coeffs=CoefficientSet.make(a0=-1.0), lumped=True)
     with pytest.raises(ValueError):
-        potential_monotonicity_report(sys_a, sys_b, (0.5,), trials=2)
+        potential_monotonicity_report(build_semigroup(sys_a),
+                                      build_semigroup(sys_b), (0.5,),
+                                      trials=2)
 
 
 def test_lp_contraction_rows(sg_mixed):
@@ -265,8 +273,9 @@ def test_order_reports_evaluate_no_field(monkeypatch):
     reports = [
         positivity_report(sg, (0.5,), trials=2),
         submarkov_report(sg, (0.5,), trials=2),
-        domination_report(sys_a, sys_t, (0.5,), trials=2),
-        potential_monotonicity_report(sys_a, sys_up, (0.5,), trials=2),
+        domination_report(sg, build_semigroup(sys_t), (0.5,), trials=2),
+        potential_monotonicity_report(sg, build_semigroup(sys_up), (0.5,),
+                                      trials=2),
     ]
     rows = lp_contraction_report(sg, (0.5,))
     assert calls == []
@@ -274,24 +283,52 @@ def test_order_reports_evaluate_no_field(monkeypatch):
     assert all(row[-1] for row in rows)
 
 
-def test_dirichlet_eigenvalue_solved_once_per_system(monkeypatch):
+def test_order_hypotheses_count_once_and_solve_nothing(monkeypatch):
     sys_a = square_system(n=6, gamma0_sides=("left",))
     sys_b = square_system(n=6, gamma0_sides=("left", "top"))
     expected = [float(spectral.dirichlet_spectrum(s, 1).eigenvalues[0])
                 for s in (sys_a, sys_b)]
-    calls = []
-    original = spectral.dirichlet_spectrum
+    solves, counts = [], []
+    original_solve = spectral.dirichlet_spectrum
+    original_count = spectral.eigenvalue_count
 
-    def counting(sys_, k):
-        calls.append(k)
-        return original(sys_, k)
+    def solving(sys_, k):
+        solves.append(k)
+        return original_solve(sys_, k)
 
-    monkeypatch.setattr(spectral, "dirichlet_spectrum", counting)
+    def counting(K, G, sigma):
+        counts.append(K.shape[0])
+        return original_count(K, G, sigma)
+
+    monkeypatch.setattr(spectral, "dirichlet_spectrum", solving)
+    monkeypatch.setattr(spectral, "eigenvalue_count", counting)
     for _ in range(3):
         check_order_hypotheses(sys_a)
         check_order_hypotheses(sys_b, require_nonneg_potential=True)
-    assert calls == [1, 1]
+    assert solves == []
+    assert counts == [len(sys_a.interior_dofs), len(sys_b.interior_dofs)]
     assert [sys_a.dirichlet_lambda1, sys_b.dirichlet_lambda1] == expected
+
+
+@pytest.mark.parametrize("shift, message", [
+    (1.0, "not accretive (smallest eigenvalue"),
+    (0.0, "0 lies in the discrete Dirichlet spectrum"),
+])
+def test_order_hypotheses_reject_dirichlet_spectrum_at_or_below_zero(
+        shift, message):
+    # a0 = -(lambda_1 + shift) moves the Dirichlet spectrum down by it
+    lam1 = square_system(n=6).dirichlet_lambda1
+    sys_ = square_system(n=6, coeffs=CoefficientSet.make(a0=-(lam1 + shift)))
+    with pytest.raises(HypothesisViolationError, match=re.escape(message)):
+        check_order_hypotheses(sys_)
+
+
+def test_comparison_reports_reject_different_lambda():
+    sys_a = square_system(n=4, gamma0_sides=("left",), lumped=True)
+    sg0, sg1 = build_semigroup(sys_a), build_semigroup(sys_a, lam=1.0)
+    for report in (domination_report, potential_monotonicity_report):
+        with pytest.raises(ValueError, match="different lambda"):
+            report(sg0, sg1, (0.5,), trials=2)
 
 
 def test_lp_infinity_norm_matches_constant_input(sg_mixed):
