@@ -316,7 +316,7 @@ def test_order_hypotheses_count_once_and_solve_nothing(monkeypatch):
 ])
 def test_order_hypotheses_reject_dirichlet_spectrum_at_or_below_zero(
         shift, message):
-    # a0 = -(lambda_1 + shift) moves the Dirichlet spectrum down by it
+    # a0 = -(lambda_1 + shift) puts the smallest Dirichlet eigenvalue at -shift
     lam1 = square_system(n=6).dirichlet_lambda1
     sys_ = square_system(n=6, coeffs=CoefficientSet.make(a0=-(lam1 + shift)))
     with pytest.raises(HypothesisViolationError, match=re.escape(message)):
