@@ -37,10 +37,7 @@ __all__ = [
     "dirichlet_system",
     "lumped_boundary_weights",
     "transported_form_value",
-    "dump_matrix",
 ]
-
-_MAT_HEADER = "DTNLAB-MAT v1"
 
 # a Dirichlet eigenvalue within ZERO_RTOL * max|A| of 0 counts as 0
 ZERO_RTOL = 1e-10
@@ -54,7 +51,7 @@ _HATS_AT_MIDPOINTS = np.array([
 ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssembledSystem:
     """Matrices on the free dofs plus the dof bookkeeping.
 
@@ -65,6 +62,12 @@ class AssembledSystem:
     system was assembled from, shaped (2, 2, nt, 3), (2, nt, 3),
     (2, nt, 3) and (nt, 3); eta and symmetric are the ellipticity
     certificate of exactly those samples.
+
+    The system is frozen: no field can be reassigned after assemble, so
+    everything derived from the fields and cached on first use stays
+    bound to the data it was computed from.  That covers the mass
+    factors the eigensolvers take as G, mass (of M) and dirichlet_mass
+    (of the interior block M_D), which are freed with the system.
     """
 
     A: sp.csr_matrix
@@ -93,6 +96,23 @@ class AssembledSystem:
         return self.free_vertices[self.boundary_dofs]
 
     @cached_property
+    def mass(self):
+        """Factor of M, proved positive definite (spectral._mass_factor)."""
+        from .spectral import _mass_factor   # spectral imports us
+
+        return _mass_factor(self.M)
+
+    @cached_property
+    def dirichlet_mass(self):
+        """Factor of M_D, proved positive definite (spectral._mass_factor).
+
+        Raises EmptyInteriorError when there are no interior dofs.
+        """
+        from .spectral import _mass_factor   # spectral imports us
+
+        return _mass_factor(dirichlet_system(self)[1])
+
+    @cached_property
     def dirichlet_positive(self):
         """Whether every Dirichlet eigenvalue exceeds ZERO_RTOL * max|A|.
 
@@ -106,12 +126,13 @@ class AssembledSystem:
         from .spectral import eigenvalue_count   # spectral imports us
 
         try:
-            A_D, M_D = dirichlet_system(self)
+            A_D, _ = dirichlet_system(self)
         except EmptyInteriorError:
             return True
         try:
             return eigenvalue_count(
-                A_D, M_D, ZERO_RTOL * float(np.abs(self.A).max())) == 0
+                A_D, self.dirichlet_mass,
+                ZERO_RTOL * float(np.abs(self.A).max())) == 0
         except SolverError:
             return False
 
@@ -347,43 +368,3 @@ def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
 
     integrand = det * (principal + drift_term + codrift_term + potential)
     return float(np.sum(w * integrand))
-
-
-def dump_matrix(path, mat, extra_header_lines=()):
-    """Write a matrix in coordinate text form (DTNLAB-MAT v1).
-
-    Entries are emitted row-major with full float precision, so dumps
-    are deterministic and diffable.
-    """
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as f:
-        f.write(_MAT_HEADER + "\n")
-        for line in extra_header_lines:
-            f.write(f"# {line}\n")
-        f.write(f"shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for k in order:
-            f.write(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}\n")
-
-
-def load_matrix(path):
-    """Read the DTNLAB-MAT v1 coordinate text format."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != _MAT_HEADER:
-        raise ValueError(f"bad matrix header (expected {_MAT_HEADER!r})")
-    pos = 1
-    while lines[pos].startswith("#"):
-        pos += 1
-    tag, nr, nc, _tag2, nnz = lines[pos].split()
-    if tag != "shape":
-        raise ValueError("missing shape line")
-    pos += 1
-    rows, cols, vals = [], [], []
-    for ln in lines[pos:pos + int(nnz)]:
-        r, cc, val = ln.split()
-        rows.append(int(r))
-        cols.append(int(cc))
-        vals.append(float(val))
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(int(nr), int(nc))).tocsr()

@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import AssembledSystem, assemble, dirichlet_system, dump_matrix
+from .assemble import AssembledSystem, assemble
 from .coeffs import CoefficientSet
 from .errors import NearDirichletSpectrumError
 
@@ -35,15 +35,10 @@ __all__ = [
     "DtnMatrix",
     "HarmonicExtensionResult",
     "CoercivityReport",
-    "SmoothnessReport",
     "harmonic_extension",
     "dtn_matrix",
     "decompose",
     "coercivity_report",
-    "smoothness_check",
-    "nearest_dirichlet_eigenvalue",
-    "embed_on_full_boundary",
-    "dump_dtn",
 ]
 
 COND_LIMIT = 1e12
@@ -74,12 +69,6 @@ class CoercivityReport:
     delta_est: float
     m_est: float
     trials: int
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    max_defect: float          # scaled central second difference
-    derivative_ratio: float    # |D(dlam/2)| / |D(dlam)| in max norm
 
 
 class _InteriorSolve:
@@ -194,20 +183,6 @@ def embed_interior(sys: AssembledSystem, u0):
     return out
 
 
-def embed_on_full_boundary(dtn: DtnMatrix, sys: AssembledSystem):
-    """S extended by zero rows/columns to all boundary vertices.
-
-    Realizes the boundary operator on the whole boundary, acting by
-    zero on the gamma0 positions; the returned index array gives the
-    boundary vertex of each row.
-    """
-    full = sys.mesh.boundary_vertices()
-    S_full = np.zeros((len(full), len(full)))
-    take = np.searchsorted(full, sys.boundary_dof_vertices)
-    S_full[np.ix_(take, take)] = dtn.S
-    return S_full, full
-
-
 def coercivity_report(sys: AssembledSystem, lam: float, trials: int,
                       seed: int = 0) -> CoercivityReport:
     """Empirical boundary-form coercivity and continuity constants.
@@ -242,56 +217,3 @@ def coercivity_report(sys: AssembledSystem, lam: float, trials: int,
         m_est = max(m_est, cross / (norms[i] * norms[j]))
     return CoercivityReport(w_est=w_est, delta_est=delta_est,
                             m_est=float(m_est), trials=trials)
-
-
-def nearest_dirichlet_eigenvalue(sys: AssembledSystem, lam: float) -> float:
-    """Eigenvalue of the interior (Dirichlet) pencil closest to lam.
-
-    An inertia count gives the number c of eigenvalues below lam; the
-    nearest one is the c-th or the (c+1)-th smallest.
-    """
-    from .spectral import eigenvalue_count, sym_geneig  # spectral imports dtn
-
-    n_int = len(sys.interior_dofs)
-    if n_int == 0:
-        return float("inf")
-    A_D, M_D = dirichlet_system(sys)
-    below = eigenvalue_count(A_D, M_D, lam)
-    vals = sym_geneig(A_D, M_D, min(below + 1, n_int)).eigenvalues
-    return float(vals[np.argmin(np.abs(vals - lam))])
-
-
-def smoothness_check(sys: AssembledSystem, lam: float,
-                     dlam: float) -> SmoothnessReport:
-    """Finite-difference regularity check of lambda -> S(lambda).
-
-    Requires the closed interval [lam - dlam, lam + dlam] to avoid the
-    discrete Dirichlet spectrum; the family is then smooth there, so
-    the central second difference stays bounded and halving the step
-    leaves the first-difference estimate nearly unchanged.
-    """
-    if dlam <= 0:
-        raise ValueError("dlam must be positive")
-    nu = nearest_dirichlet_eigenvalue(sys, lam)
-    if abs(nu - lam) <= dlam:
-        raise NearDirichletSpectrumError(lam, float("inf"))
-    S0 = dtn_matrix(sys, lam).S
-    Sp = dtn_matrix(sys, lam + dlam).S
-    Sm = dtn_matrix(sys, lam - dlam).S
-    Sp2 = dtn_matrix(sys, lam + dlam / 2).S
-    Sm2 = dtn_matrix(sys, lam - dlam / 2).S
-    max_defect = float(np.max(np.abs(Sp - 2 * S0 + Sm)) / dlam ** 2)
-    D1 = (Sp - Sm) / (2 * dlam)
-    D2 = (Sp2 - Sm2) / dlam
-    ratio = float(np.max(np.abs(D2)) / np.max(np.abs(D1)))
-    return SmoothnessReport(max_defect=max_defect, derivative_ratio=ratio)
-
-
-def dump_dtn(path, dtn: DtnMatrix):
-    """Coordinate-text dump of S with lambda and the condition estimate."""
-    dump_matrix(
-        path, dtn.S,
-        extra_header_lines=[
-            f"lambda={dtn.lam!r} cond_interior={dtn.cond_interior!r}"
-        ],
-    )

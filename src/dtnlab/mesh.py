@@ -40,11 +40,7 @@ __all__ = [
     "quality",
     "lshape_polygon",
     "regular_polygon",
-    "save_mesh",
-    "load_mesh",
 ]
-
-_MESH_HEADER = "DTNLAB-MESH v1"
 
 
 @dataclass(frozen=True)
@@ -575,55 +571,3 @@ def map_vertices(mesh: Mesh, fn) -> Mesh:
     return _make_mesh(moved, mesh.triangles.copy(),
                       boundary_parent=None if mesh.boundary_parent is None
                       else mesh.boundary_parent.copy())
-
-
-def save_mesh(path, mesh: Mesh, part: BoundaryPartition | None = None) -> None:
-    """Write the plain-text mesh format (DTNLAB-MESH v1).
-
-    Boundary edge lines carry a label: 0 for gamma0, 1 for gamma1
-    (all 1 when no partition is given).
-    """
-    labels = np.ones(mesh.num_boundary_edges, dtype=int)
-    if part is not None:
-        labels[part.gamma0_edges] = 0
-    with open(path, "w") as f:
-        f.write(_MESH_HEADER + "\n")
-        f.write(f"vertices {mesh.num_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        f.write(f"triangles {mesh.num_triangles}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"{a} {b} {c}\n")
-        f.write(f"boundary_edges {mesh.num_boundary_edges}\n")
-        for (a, b), lab in zip(mesh.boundary_edges, labels):
-            f.write(f"{a} {b} {lab}\n")
-
-
-def load_mesh(path):
-    """Read the DTNLAB-MESH v1 format; returns (mesh, partition)."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != _MESH_HEADER:
-        raise MeshInvariantError(f"bad mesh header (expected {_MESH_HEADER!r})")
-    pos = 1
-
-    def section(name):
-        nonlocal pos
-        tag, count = lines[pos].split()
-        if tag != name:
-            raise MeshInvariantError(f"expected section {name!r}, got {tag!r}")
-        pos += 1
-        rows = lines[pos:pos + int(count)]
-        pos += int(count)
-        return rows
-
-    vertices = np.array([[float(v) for v in row.split()] for row in section("vertices")])
-    triangles = np.array([[int(v) for v in row.split()] for row in section("triangles")],
-                         dtype=np.int64).reshape(-1, 3)
-    edge_rows = [[int(v) for v in row.split()] for row in section("boundary_edges")]
-    mesh = _make_mesh(vertices, triangles)
-    stored = {(a, b): lab for a, b, lab in edge_rows}
-    if set(stored) != set(map(tuple, mesh.boundary_edges)):
-        raise MeshInvariantError("stored boundary edges do not match topology")
-    return mesh, _partition_from_flags(
-        mesh, [stored[tuple(e)] == 0 for e in mesh.boundary_edges])

@@ -12,7 +12,6 @@ intertwiner on computed eigenspaces, trace subspace angles).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +64,6 @@ MAX_STEPS = 60
 # Computed eigenvalues closer than this times the pencil scale are one
 # cluster for the inertia certificate.
 INERTIA_RTOL = 1e-8
-# Mass matrices whose factor is kept (_mass_factor): the two systems of a
-# gauge comparison alternate.
-MASS_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -164,10 +160,8 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
       SuperLU without row pivoting, with sigma below the whole spectrum,
       and that factorization drives shift-invert Lanczos (ARPACK, standard
       mode, see _shift_invert) for the k+1 eigenpairs nearest sigma.  G
-      is factored as G = R R^T once per distinct matrix: the factor, the
-      proof that G is positive definite and its norm are cached under a
-      digest of G's data (see _mass_factor), so repeated solves with one
-      mass matrix factor it once.
+      is factored as G = R R^T (see _mass_factor), which also proves it
+      positive definite.
 
     Certificate (sparse path): without row pivoting the factorization is
     an LDL^T one, so by Sylvester's law of inertia its negative pivots
@@ -183,7 +177,15 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
     smallest eigenvalue of a pencil known to bound this one from below.
     The sparse path uses it as the shift when an inertia count confirms
     it; the dense path ignores it.
+
+    G is a matrix or a _MassFactor record of one.  A matrix is proved
+    positive definite (and, on the sparse path, factored) on every call;
+    a record, such as AssembledSystem.mass, carries its proof and factor,
+    so repeated solves with one mass matrix factor it once.
     """
+    mass = G if isinstance(G, _MassFactor) else None
+    if mass is not None:
+        G = mass.G
     use_sparse = (sp.issparse(K) and K.shape[0] > SPARSE_MIN_N
                   and 4 * (k + 1) <= K.shape[0])
     if use_sparse:
@@ -198,7 +200,7 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     K = _symmetrized("K", K)
     if use_sparse:
-        return _sparse_geneig(K, _mass_factor(G), k, shift_hint)
+        return _sparse_geneig(K, mass or _mass_factor(G), k, shift_hint)
     G = _symmetrized("G", G)
     try:
         scipy.linalg.cholesky(G)
@@ -216,9 +218,9 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
 def eigenvalue_count(K, G, sigma: float) -> int:
     """Number of eigenvalues of the sparse pencil (K, G) below sigma.
 
-    G must be symmetric positive definite; it is proved so (through the
-    cached mass factor, see _mass_factor) and NotPositiveDefiniteError
-    raised otherwise.  Raises SolverError when the count is not
+    G is a symmetric positive definite matrix, proved so by _mass_factor
+    (NotPositiveDefiniteError otherwise), or a _MassFactor record of one,
+    which carries that proof.  Raises SolverError when the count is not
     available: K - sigma*G singular (sigma is an eigenvalue) or not
     factorable without row pivoting.
     """
@@ -273,48 +275,32 @@ class _MassFactor:
     norm1: float
 
 
-# digest of G's data -> _MassFactor, oldest entry evicted first
-_MASS_FACTORS: dict = {}
-
-
 def _mass_factor(G) -> _MassFactor:
     """G checked symmetric and proved positive definite, with its factor.
 
     The proof is an LDL^T factorization (_ldl) without a negative pivot;
-    R = P^T L D^{1/2} from it satisfies G = R R^T.  Records are cached
-    under a digest of G's shape, dtype and CSC arrays, never its
-    identity, so a record certifies exactly the data it was computed
-    from.  Raises ValueError for an asymmetric G and
-    NotPositiveDefiniteError when the factorization has a negative pivot,
-    is singular or needs row pivoting.
+    R = P^T L D^{1/2} from it satisfies G = R R^T.  Every call on a matrix
+    factors it anew; a _MassFactor passed in is returned unchanged.  A
+    record is kept by whoever owns the matrix it certifies (see
+    AssembledSystem.mass), and is freed with it.  Raises ValueError for
+    an asymmetric G and NotPositiveDefiniteError when the factorization
+    has a negative pivot, is singular or needs row pivoting.
     """
-    G = sp.csc_matrix(G)
-    h = hashlib.blake2b(digest_size=32)
-    h.update(repr((G.shape, G.dtype.str, G.indptr.dtype.str,
-                   G.indices.dtype.str)).encode())
-    for arr in (G.indptr, G.indices, G.data):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    key = h.digest()
-    mass = _MASS_FACTORS.get(key)
-    if mass is not None:
-        return mass
-    G = _symmetrized("G", G)
+    if isinstance(G, _MassFactor):
+        return G
+    G = _symmetrized("G", sp.csc_matrix(G))
     lu, below = _ldl(G)
     if below != 0:
         raise NotPositiveDefiniteError("G is not positive definite")
     R = sp.csc_matrix(lu.L[lu.perm_r, :] @ sp.diags(np.sqrt(lu.U.diagonal())))
-    mass = _MassFactor(G=G, R=R, norm1=float(spla.norm(G, 1)))
-    if len(_MASS_FACTORS) >= MASS_CACHE_SIZE:
-        del _MASS_FACTORS[next(iter(_MASS_FACTORS))]
-    _MASS_FACTORS[key] = mass
-    return mass
+    return _MassFactor(G=G, R=R, norm1=float(spla.norm(G, 1)))
 
 
 def _shift_invert(mass, sigma, lu, nev):
     """The nev eigenpairs of (K, G) nearest sigma, ascending.
 
-    lu factors K - sigma*G and mass is G's record from _mass_factor,
-    with G = R R^T.  Lanczos (ARPACK) runs in standard mode on the
+    lu factors K - sigma*G and mass is G's _MassFactor record, with
+    G = R R^T.  Lanczos (ARPACK) runs in standard mode on the
     symmetric operator y -> -R^T (K - sigma*G)^{-1} R y, whose eigenvalues
     are w = 1/(sigma - lambda), so no G-product is made inside the
     iteration.  The sign makes ARPACK's ascending order of w the ascending
@@ -445,8 +431,8 @@ def cluster_indices(values, rtol: float = CLUSTER_RTOL):
 
 def dirichlet_spectrum(sys: AssembledSystem, k: int) -> Spectrum:
     """k smallest eigenpairs of the interior (Dirichlet) pencil."""
-    A_D, M_D = dirichlet_system(sys)
-    return sym_geneig(A_D, M_D, k)
+    A_D, _ = dirichlet_system(sys)
+    return sym_geneig(A_D, sys.dirichlet_mass, k)
 
 
 def robin_spectrum(sys: AssembledSystem, mu: float, k: int,
@@ -455,7 +441,8 @@ def robin_spectrum(sys: AssembledSystem, mu: float, k: int,
 
     shift_hint is passed to sym_geneig.
     """
-    return sym_geneig(robin_matrix(sys, mu), sys.M, k, shift_hint=shift_hint)
+    return sym_geneig(robin_matrix(sys, mu), sys.mass, k,
+                      shift_hint=shift_hint)
 
 
 def steklov_spectrum(sys: AssembledSystem, lam: float, k: int) -> Spectrum:
@@ -472,7 +459,7 @@ def _robin_pairs_at(sys, mu, lam, tol):
     by construction, where the factorization is singular).
     """
     K = _symmetrized("K", robin_matrix(sys, mu))
-    mass = _mass_factor(sys.M)
+    mass = sys.mass
     _, below = _ldl(K - (lam - tol) * mass.G)
     lu, upto = _ldl(K - (lam + tol) * mass.G)
     if below is None or upto is None:

@@ -1,13 +1,13 @@
 """P1 assembly against analytic values and an element-wise oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dtnlab.assemble import (
     assemble,
     dirichlet_system,
-    dump_matrix,
-    load_matrix,
     lumped_boundary_weights,
     robin_matrix,
 )
@@ -213,20 +213,7 @@ def test_monotone_refinement_of_dirichlet_eigenvalues():
     assert values[2] >= 2 * np.pi ** 2  # conforming upper bounds
 
 
-def test_matrix_dump_roundtrip(tmp_path):
+def test_system_fields_cannot_be_reassigned():
     sys_ = square_system(n=2)
-    path = tmp_path / "A.txt"
-    dump_matrix(path, sys_.A, extra_header_lines=["kind=A"])
-    first = open(path).readline().strip()
-    assert first == "DTNLAB-MAT v1"
-    back = load_matrix(path)
-    assert np.abs((back - sys_.A).toarray()).max() == 0.0
-
-
-def test_matrix_dump_deterministic(tmp_path):
-    sys_ = square_system(n=3)
-    p1 = tmp_path / "m1.txt"
-    p2 = tmp_path / "m2.txt"
-    dump_matrix(p1, sys_.A)
-    dump_matrix(p2, sys_.A)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys_.M = 2 * sys_.M

@@ -1,4 +1,4 @@
-"""Mesh construction, refinement, partitions and serialization."""
+"""Mesh construction, refinement and partitions."""
 
 import dataclasses
 import math
@@ -14,7 +14,6 @@ from dtnlab.mesh import (
     build_polygon_mesh,
     build_structured_square,
     check_mesh,
-    load_mesh,
     lshape_polygon,
     map_vertices,
     partition_boundary,
@@ -23,7 +22,6 @@ from dtnlab.mesh import (
     refine,
     refine_partition,
     regular_polygon,
-    save_mesh,
     square_side_selector,
 )
 
@@ -172,29 +170,6 @@ def test_map_vertices_identity_keeps_everything():
     assert np.array_equal(moved.vertices, m.vertices)
     assert np.array_equal(moved.boundary_edges, m.boundary_edges)
     assert np.array_equal(moved.boundary_parent, m.boundary_parent)
-
-
-def test_serialization_roundtrip(tmp_path):
-    m = build_structured_square(3)
-    part = partition_boundary(m, square_side_selector(["left", "top"]))
-    path = tmp_path / "mesh.txt"
-    save_mesh(path, m, part)
-    assert open(path).readline().strip() == "DTNLAB-MESH v1"
-    m2, part2 = load_mesh(path)
-    assert np.array_equal(m2.vertices, m.vertices)
-    assert np.array_equal(m2.triangles, m.triangles)
-    assert np.array_equal(np.sort(part2.gamma0_edges),
-                          np.sort(part.gamma0_edges))
-    assert np.array_equal(part2.constrained_vertices,
-                          part.constrained_vertices)
-
-
-def test_serialization_without_partition(tmp_path):
-    m = build_structured_square(2)
-    path = tmp_path / "mesh.txt"
-    save_mesh(path, m)
-    _m2, part2 = load_mesh(path)
-    assert part2.num_gamma0 == 0
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,8 @@
 """Eigen-solvers, spectral duality, curves, limits and matching."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +12,6 @@ import scipy.sparse.linalg as spla
 from dtnlab import spectral
 from dtnlab.assemble import assemble, dirichlet_system, robin_matrix
 from dtnlab.coeffs import CoefficientSet, certify, radial_bump_diffeo
-from dtnlab.dtn import nearest_dirichlet_eigenvalue
 from dtnlab.errors import DtnLabError, NotPositiveDefiniteError, SolverError
 from dtnlab.mesh import build_structured_square, partition_boundary
 from dtnlab.spectral import (
@@ -190,7 +192,7 @@ def test_eigenvalue_count_rejects_indefinite_G():
 
 def count_factorizations(monkeypatch, of=None):
     """Record every _ldl call (only those whose argument equals `of`, if
-    given) and start from an empty mass-factor cache."""
+    given)."""
     calls = []
     real = spectral._ldl
 
@@ -200,14 +202,24 @@ def count_factorizations(monkeypatch, of=None):
         return real(C)
 
     monkeypatch.setattr(spectral, "_ldl", counting)
-    monkeypatch.setattr(spectral, "_MASS_FACTORS", {})
     return calls
 
 
-def test_eigen_curves_factor_the_mass_matrix_once(mixed24, monkeypatch):
-    calls = count_factorizations(monkeypatch, of=mixed24.M)
-    eigen_curves(mixed24, -20.0, 20.0, 5, 3)
+def test_eigen_curves_factor_the_mass_matrix_once(monkeypatch):
+    sys_ = square_system(n=24, gamma0_sides=("left",))   # no factor yet
+    calls = count_factorizations(monkeypatch, of=sys_.M)
+    eigen_curves(sys_, -20.0, 20.0, 5, 3)
+    duality_check(sys_, 1.0, 1)           # its Robin solve reuses the factor
     assert len(calls) == 1
+
+
+def test_mass_factor_freed_with_its_system():
+    sys_ = square_system(n=24, gamma0_sides=("left",))
+    robin_spectrum(sys_, 0.0, 2)
+    ref = weakref.ref(sys_.mass)
+    del sys_
+    gc.collect()
+    assert ref() is None
 
 
 def test_mass_factor_is_keyed_by_data(mixed24):
@@ -238,15 +250,15 @@ def test_shift_invert_ascending_with_shift_inside_spectrum(mixed24):
         atol=1e-8 * abs(K).max())
 
 
-def test_nearest_dirichlet_eigenvalue_factors_mass_once(mixed24, monkeypatch):
-    _, M_D = dirichlet_system(mixed24)
+def test_dirichlet_solves_factor_the_interior_mass_once(monkeypatch):
+    sys_ = square_system(n=24, gamma0_sides=("left",))
+    A_D, M_D = dirichlet_system(sys_)
     calls = count_factorizations(monkeypatch, of=M_D)
-    lam = nearest_dirichlet_eigenvalue(mixed24, 30.0)
+    assert sys_.dirichlet_positive
+    vals = dirichlet_spectrum(sys_, 3).eigenvalues
     assert len(calls) == 1
-    want = scipy.linalg.eigh(*(m.toarray() for m in dirichlet_system(mixed24)),
-                             eigvals_only=True)
-    assert lam == pytest.approx(want[np.argmin(np.abs(want - 30.0))],
-                                rel=1e-10)
+    want = scipy.linalg.eigh(A_D.toarray(), M_D.toarray(), eigvals_only=True)
+    np.testing.assert_allclose(vals, want[:3], rtol=1e-10)
 
 
 def test_cluster_indices():
@@ -397,7 +409,7 @@ def test_limit_study_shift_hints(mixed24, monkeypatch):
         dirichlet_spectrum(mixed24, k)
         return [robin_spectrum(mixed24, mu, k).eigenvalues for mu in mu_list]
 
-    want = hint_free()                    # fills the mass-factor cache
+    want = hint_free()                    # factors both mass matrices
     calls = []
     real = spectral._ldl
     monkeypatch.setattr(spectral, "_ldl", lambda C: calls.append(1) or real(C))
