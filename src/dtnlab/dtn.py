@@ -11,20 +11,19 @@ extensions.  Paired with the gamma1 boundary mass Bb, the generalized
 pair (S, Bb) is the boundary operator all spectral and semigroup
 computations consume; the explicit product Bb^{-1} S is never formed.
 
-C is formed once per call and stays sparse, its coupling blocks C_BI
-and C_IB included: C_II enters only through its SuperLU factorization,
-and C_IB is made dense only as the right-hand side of that solve.  S and
-Bb (b x b, b the number of gamma1 dofs) are the only dense matrices
+C is formed once per DtnMatrix, and harmonic_extension reuses its
+factorization.  C stays sparse, its coupling blocks C_BI and C_IB
+included: C_II enters only through its SuperLU factorization, and C_IB
+is made dense only as the right-hand side of that solve.  S and Bb
+(b x b, b the number of gamma1 dofs) are the only dense matrices
 returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import AssembledSystem, assemble
@@ -46,13 +45,22 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class DtnMatrix:
-    """Schur complement S(lambda) with its gamma1 boundary mass."""
+    """Schur complement S(lambda) with its gamma1 boundary mass.
+
+    interior is the factorization of C_II that S was formed with;
+    harmonic_extension, decompose and coercivity_report solve with it
+    instead of factoring again.
+    """
 
     S: np.ndarray
     Bb: np.ndarray
     lam: float
-    cond_interior: float
     boundary_dofs: np.ndarray
+    interior: _InteriorSolve = field(compare=False, repr=False)
+
+    @property
+    def cond_interior(self) -> float:
+        return self.interior.cond
 
 
 @dataclass(frozen=True)
@@ -65,47 +73,37 @@ class HarmonicExtensionResult:
 
 @dataclass(frozen=True)
 class CoercivityReport:
-    w_est: float
-    delta_est: float
-    m_est: float
-    trials: int
+    w: float
+    delta: float
+    m: float
 
 
 class _InteriorSolve:
-    """LU factorization of the interior block with a condition estimate.
+    """C = A - lam*M on the free dofs, with the LU factorization of its
+    interior block C_II and the 1-norm condition number of C_II."""
 
-    C is the caller's sparse A - lam*M on the free dofs.
-    """
-
-    def __init__(self, sys: AssembledSystem, lam: float, C):
+    def __init__(self, sys: AssembledSystem, lam: float):
+        self.sys = sys
         self.lam = lam
+        self.C = (sys.A - lam * sys.M).tocsc()
         idx = sys.interior_dofs
         self.size = len(idx)
         if self.size == 0:
             self.cond = 1.0
             self._lu = None
             return
-        T = C[idx, :][:, idx]
+        T = self.C[idx, :][:, idx]
         try:
-            self._lu = spla.splu(T.tocsc())
+            self._lu = spla.splu(T)
         except RuntimeError as exc:
             raise NearDirichletSpectrumError(lam, float("inf")) from exc
-        norm1 = float(np.max(np.abs(T).sum(axis=0)))
-        if self.size <= 4:
-            try:
-                inv_norm1 = float(
-                    np.max(np.abs(scipy.linalg.inv(T.toarray())).sum(axis=0))
-                )
-            except scipy.linalg.LinAlgError as exc:
-                raise NearDirichletSpectrumError(lam, float("inf")) from exc
-        else:
-            op = spla.LinearOperator(
-                (self.size, self.size),
-                matvec=lambda v: self._lu.solve(v),
-                rmatvec=lambda v: self._lu.solve(v, trans="T"),
-            )
-            inv_norm1 = float(spla.onenormest(op))
-        self.cond = norm1 * inv_norm1
+        op = spla.LinearOperator(
+            (self.size, self.size),
+            matvec=lambda v: self._lu.solve(v),
+            rmatvec=lambda v: self._lu.solve(v, trans="T"),
+        )
+        self.cond = (float(np.max(np.abs(T).sum(axis=0)))
+                     * float(spla.onenormest(op)))
         if not np.isfinite(self.cond) or self.cond > COND_LIMIT:
             raise NearDirichletSpectrumError(lam, self.cond)
 
@@ -115,28 +113,27 @@ class _InteriorSolve:
         return self._lu.solve(rhs)
 
 
-def harmonic_extension(sys: AssembledSystem, lam: float,
-                       phi) -> HarmonicExtensionResult:
+def harmonic_extension(d: DtnMatrix, phi) -> HarmonicExtensionResult:
     """Extend gamma1 boundary data into the discrete lambda-harmonic space.
 
-    phi is indexed by sys.boundary_dofs: a vector, or a (b, m) block
-    whose m columns are extended with one interior factorization.  The
-    interior values solve the interior rows of (A - lambda*M) u = 0 with
-    u fixed to phi on the boundary dofs; u has the shape of phi with
-    its first axis running over the free dofs.
+    phi is indexed by the boundary dofs of d: a vector, or a (b, m)
+    block whose m columns are extended together.  The interior values
+    solve the interior rows of (A - lambda*M) u = 0 with u fixed to phi
+    on the boundary dofs, through the interior factorization of d; u
+    has the shape of phi with its first axis running over the free dofs.
     """
+    solver = d.interior
+    sys, C = solver.sys, solver.C
     phi = np.asarray(phi, dtype=float)
     if phi.ndim not in (1, 2) or phi.shape[0] != len(sys.boundary_dofs):
         raise ValueError("phi must be indexed by the gamma1 boundary dofs")
-    C = (sys.A - lam * sys.M).tocsr()
-    solver = _InteriorSolve(sys, lam, C)
     u = np.zeros((sys.n_free,) + phi.shape[1:])
     u[sys.boundary_dofs] = phi
     if solver.size:
         rhs = -(C[sys.interior_dofs, :][:, sys.boundary_dofs] @ phi)
         u[sys.interior_dofs] = solver.solve(rhs)
     resid = np.abs(C @ u)[sys.interior_dofs]
-    scale = ((np.abs(sys.A).max() + abs(lam) * np.abs(sys.M).max())
+    scale = ((np.abs(sys.A).max() + abs(solver.lam) * np.abs(sys.M).max())
              * np.maximum(1.0, np.abs(u).max(axis=0)))
     rel = float(np.max(resid / scale, initial=0.0))
     return HarmonicExtensionResult(u=u, residual_interior=rel)
@@ -152,26 +149,27 @@ def dtn_matrix(sys: AssembledSystem, lam: float) -> DtnMatrix:
     """
     bd = sys.boundary_dofs
     idx = sys.interior_dofs
-    C = (sys.A - lam * sys.M).tocsc()
-    solver = _InteriorSolve(sys, lam, C)
+    solver = _InteriorSolve(sys, lam)
+    C = solver.C
     S = C[bd, :][:, bd].toarray()
     if solver.size:
         S -= C[bd, :][:, idx] @ solver.solve(C[idx, :][:, bd].toarray())
     Bb = sys.B[bd, :][:, bd].toarray()
-    return DtnMatrix(S=S, Bb=Bb, lam=float(lam),
-                     cond_interior=solver.cond, boundary_dofs=bd.copy())
+    return DtnMatrix(S=S, Bb=Bb, lam=float(lam), boundary_dofs=bd.copy(),
+                     interior=solver)
 
 
-def decompose(sys: AssembledSystem, lam: float, u):
+def decompose(d: DtnMatrix, u):
     """Split a free-dof vector into interior part plus harmonic extension.
 
     Returns (u0, ext) where u0 lives on the interior dofs and ext is
-    the harmonic extension of the boundary trace of u; the identity
-    u = embed(u0) + ext.u holds exactly on the boundary dofs and to
-    roundoff elsewhere.
+    the harmonic extension (at the lambda of d) of the boundary trace of
+    u; the identity u = embed(u0) + ext.u holds exactly on the boundary
+    dofs and to roundoff elsewhere.
     """
+    sys = d.interior.sys
     u = np.asarray(u, dtype=float)
-    ext = harmonic_extension(sys, lam, u[sys.boundary_dofs])
+    ext = harmonic_extension(d, u[sys.boundary_dofs])
     u0 = (u - ext.u)[sys.interior_dofs]
     return u0, ext
 
@@ -183,37 +181,30 @@ def embed_interior(sys: AssembledSystem, u0):
     return out
 
 
-def coercivity_report(sys: AssembledSystem, lam: float, trials: int,
-                      seed: int = 0) -> CoercivityReport:
-    """Empirical boundary-form coercivity and continuity constants.
+def coercivity_report(d: DtnMatrix) -> CoercivityReport:
+    """Exact boundary-form coercivity and continuity constants.
 
-    Over random boundary vectors phi, fits w and delta with
-    phi^T S phi + w phi^T Bb phi >= delta * ||u_phi||_H1^2 (the discrete
-    H1 norm is u^T (K + M) u with K the unit-coefficient stiffness) and
-    the smallest continuity constant for the mixed products.
+    With nu the eigenvalues of (S, Bb), the shift is
+    w = 1.1*max(0, -nu_min) + 1e-6*||S||_1/||Bb||_1, so that S + w*Bb is
+    positive definite.  delta is the largest constant with
+    phi^T (S + w Bb) phi >= delta * ||u_phi||_H1^2, where u_phi is the
+    harmonic extension and the discrete H1 norm is u^T (K + M) u with K
+    the unit-coefficient stiffness: the smallest eigenvalue of
+    (S + w Bb, Q), Q = E^T (K + M) E with E the extension of the identity.
+    m is the smallest constant with |psi^T S phi| <= m ||phi|| ||psi|| in
+    the norm ||phi||^2 = phi^T (S + w Bb) phi: the largest |eigenvalue|
+    of (S, S + w Bb), which are nu/(nu + w) with the eigenvectors of
+    (S, Bb).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    dtn = dtn_matrix(sys, lam)
-    K_sys = assemble(sys.mesh, sys.part, CoefficientSet.identity())
-    H = (K_sys.A + sys.M).tocsr()
-    rng = np.random.default_rng(seed)
-    b = len(sys.boundary_dofs)
-    phis = rng.standard_normal((trials, b))
-    U = harmonic_extension(sys, lam, phis.T).u
-    qS = np.sum(phis * (phis @ dtn.S.T), axis=1)
-    qB = np.sum(phis * (phis @ dtn.Bb.T), axis=1)
-    h1 = np.sum(U * (H @ U), axis=0)
-    base = max(0.0, float(np.max(-qS / qB)))
-    w_est = 1.1 * base + 1e-6
-    delta_est = float(np.min((qS + w_est * qB) / h1))
-    m_est = 0.0
-    norms = np.sqrt(qS + w_est * qB)
-    for i in range(trials):
-        j = (i + 1) % trials
-        if j == i:
-            break
-        cross = abs(phis[i] @ (dtn.S @ phis[j]))
-        m_est = max(m_est, cross / (norms[i] * norms[j]))
-    return CoercivityReport(w_est=w_est, delta_est=delta_est,
-                            m_est=float(m_est), trials=trials)
+    from .spectral import sym_geneig   # spectral imports us
+    sys = d.interior.sys
+    b = d.S.shape[0]
+    nu = sym_geneig(d.S, d.Bb, b).eigenvalues
+    w = (1.1 * max(0.0, -float(nu[0]))
+         + 1e-6 * np.linalg.norm(d.S, 1) / np.linalg.norm(d.Bb, 1))
+    SW = d.S + w * d.Bb
+    E = harmonic_extension(d, np.eye(b)).u
+    H = assemble(sys.mesh, sys.part, CoefficientSet.identity()).A + sys.M
+    delta = float(sym_geneig(SW, E.T @ (H @ E), 1).eigenvalues[0])
+    m = float(np.max(np.abs(nu / (nu + w))))
+    return CoercivityReport(w=float(w), delta=delta, m=m)

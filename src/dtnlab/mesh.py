@@ -17,7 +17,6 @@ look them up with searchsorted, so no step walks the edges in Python.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

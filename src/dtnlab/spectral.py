@@ -485,8 +485,9 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     eigenvectors restrict to boundary eigenvectors, with equal cluster
     size (multiplicities agree).  j is 1-based.  For a sequence of
     indices a list of results is returned; the Schur complement, the
-    boundary spectrum, the norm of A and the harmonic extensions (one
-    interior factorization) are computed once for all.
+    boundary spectrum, the norm of A and the harmonic extensions are
+    computed once for all, and the extensions reuse the Schur
+    complement's interior factorization (one per call).
     """
     js = list(j) if np.ndim(j) else [j]
     d = dtn_matrix(sys, lam)
@@ -499,9 +500,9 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     A_norm = spla.norm(sys.A)
     S_norm = np.abs(d.S).max() or 1.0
     tol_lam = CLUSTER_RTOL * max(1.0, abs(lam))
-    C = sys.A - lam * sys.M
+    C = d.interior.C
     cols = spec.eigenvectors[:, np.array(js, dtype=int) - 1]
-    exts = harmonic_extension(sys, lam, cols).u
+    exts = harmonic_extension(d, cols).u
     results = []
     for jj, u in zip(js, exts.T):
         mu_j = float(spec.eigenvalues[jj - 1])
