@@ -77,7 +77,6 @@ class AssembledSystem:
     free_vertices: np.ndarray
     boundary_dofs: np.ndarray
     interior_dofs: np.ndarray
-    quadrature_order: int
     lumped_boundary: bool
     mesh: object
     part: object
@@ -179,6 +178,13 @@ def _free_dof_map(mesh, part):
     return dof_map, free_vertices
 
 
+def _gamma1_edges(mesh, part, dof_map):
+    """(ends, L) in partition order: the free-dof index of both ends of
+    each gamma1 edge, (ne, 2) with -1 where constrained, and its length."""
+    return (dof_map[mesh.boundary_edges[part.gamma1_edges]],
+            mesh.edge_lengths()[part.gamma1_edges])
+
+
 def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
              sample_mesh=None, mass_weight=None) -> AssembledSystem:
     """Assemble A, M and B for a mesh, partition and coefficient set.
@@ -206,7 +212,7 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
             sample_mesh.num_triangles != mesh.num_triangles
             or sample_mesh.num_vertices != mesh.num_vertices):
         raise ValueError("sample_mesh must share the mesh topology")
-    pts, _ = quadrature_points(coeff_mesh)
+    pts = quadrature_points(coeff_mesh)
     samples = _sample_fields(c, pts[..., 0], pts[..., 1])
     eta, symmetric = _certificate(samples)
     a_q, drift_q, codrift_q, a0_q = samples
@@ -246,33 +252,21 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
     A = sp.coo_matrix((A_vals, ij), shape=(n, n)).tocsr()
     M = sp.coo_matrix((M_vals, ij), shape=(n, n)).tocsr()
 
-    # gamma1 boundary mass
-    b_rows, b_cols, b_vals = [], [], []
-    lengths = mesh.edge_lengths()
-    for e in part.gamma1_edges:
-        va, vb = mesh.boundary_edges[e]
-        L = lengths[e]
-        da, db = dof_map[va], dof_map[vb]
-        if lump_boundary_mass:
-            for d in (da, db):
-                if d >= 0:
-                    b_rows.append(d)
-                    b_cols.append(d)
-                    b_vals.append(L / 2.0)
-        else:
-            block = L / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-            for ii, d1 in enumerate((da, db)):
-                for jj, d2 in enumerate((da, db)):
-                    if d1 >= 0 and d2 >= 0:
-                        b_rows.append(d1)
-                        b_cols.append(d2)
-                        b_vals.append(block[ii, jj])
+    # gamma1 boundary mass; COO entries in edge order fix the order in
+    # which tocsr sums the duplicates at shared vertices
+    ends, L = _gamma1_edges(mesh, part, dof_map)
+    if lump_boundary_mass:
+        b_rows = b_cols = ends.ravel()
+        b_vals = np.repeat(L / 2.0, 2)
+    else:
+        b_rows = ends[:, [0, 0, 1, 1]].ravel()
+        b_cols = ends[:, [0, 1, 0, 1]].ravel()
+        b_vals = np.outer(L / 6.0, [2.0, 1.0, 1.0, 2.0]).ravel()
+    keep = (b_rows >= 0) & (b_cols >= 0)
+    b_rows, b_cols, b_vals = b_rows[keep], b_cols[keep], b_vals[keep]
     B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(n, n)).tocsr()
 
-    gamma1_vertices = (np.unique(mesh.boundary_edges[part.gamma1_edges])
-                       if len(part.gamma1_edges) else np.array([], dtype=np.int64))
-    boundary_dofs = np.sort(dof_map[gamma1_vertices])
-    boundary_dofs = boundary_dofs[boundary_dofs >= 0]
+    boundary_dofs = np.unique(ends[ends >= 0])
     interior_mask = np.ones(n, dtype=bool)
     interior_mask[boundary_dofs] = False
     interior_dofs = np.flatnonzero(interior_mask)
@@ -280,7 +274,7 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
     return AssembledSystem(
         A=A, M=M, B=B, dof_map=dof_map, free_vertices=free_vertices,
         boundary_dofs=boundary_dofs, interior_dofs=interior_dofs,
-        quadrature_order=2, lumped_boundary=bool(lump_boundary_mass),
+        lumped_boundary=bool(lump_boundary_mass),
         mesh=mesh, part=part, coeffs=c,
         samples=samples, eta=eta, symmetric=symmetric,
     )
@@ -306,15 +300,11 @@ def dirichlet_system(sys: AssembledSystem):
 
 def lumped_boundary_weights(sys: AssembledSystem):
     """Diagonal (trapezoid) gamma1 boundary weights on the free dofs."""
-    w = np.zeros(sys.n_free)
-    lengths = sys.mesh.edge_lengths()
-    for e in sys.part.gamma1_edges:
-        va, vb = sys.mesh.boundary_edges[e]
-        for vtx in (va, vb):
-            d = sys.dof_map[vtx]
-            if d >= 0:
-                w[d] += lengths[e] / 2.0
-    return w
+    ends, L = _gamma1_edges(sys.mesh, sys.part, sys.dof_map)
+    d = ends.ravel()
+    keep = d >= 0
+    return np.bincount(d[keep], weights=np.repeat(L / 2.0, 2)[keep],
+                       minlength=sys.n_free)
 
 
 def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
@@ -341,7 +331,7 @@ def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
     u_vert[free] = u
     v_vert[free] = v
 
-    pts, _ = quadrature_points(mesh)
+    pts = quadrature_points(mesh)
     xs, ys = pts[..., 0], pts[..., 1]
     J, det = phi.jacobian_batch(xs, ys)
     g_q, bdrift_q, bcodrift_q, b0_q = _sample_fields(b, xs, ys)

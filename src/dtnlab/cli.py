@@ -137,11 +137,17 @@ def build_selector(config, poly):
     raise ConfigError(f"unknown gamma0 selector type {kind!r}")
 
 
-def build_system(config, lump_boundary_mass=False):
+def build_problem(config):
+    """(mesh, poly, part, c): domain, gamma0 partition and coefficients."""
     mesh, poly = build_domain(config)
     part = partition_boundary(mesh, build_selector(config, poly))
     c = CoefficientSet.from_config(config.get("coefficients", {}))
-    return assemble(mesh, part, c, lump_boundary_mass=lump_boundary_mass)
+    return mesh, poly, part, c
+
+
+def build_system(config):
+    mesh, _, part, c = build_problem(config)
+    return assemble(mesh, part, c)
 
 
 def build_diffeo(block):
@@ -210,9 +216,7 @@ def _cell(v):
 
 
 def cmd_validate(config, rep: Reporter) -> bool:
-    mesh, poly = build_domain(config)
-    part = partition_boundary(mesh, build_selector(config, poly))
-    c = CoefficientSet.from_config(config.get("coefficients", {}))
+    mesh, _, part, c = build_problem(config)
     eta, sym = certify(c, mesh)
     rep.say(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} "
             f"triangles, h_max={mesh.h_max:.6g}")
@@ -323,9 +327,7 @@ def _tilde_gamma0(config, poly):
 
 
 def cmd_semigroup(config, rep: Reporter) -> bool:
-    mesh, poly = build_domain(config)
-    part = partition_boundary(mesh, build_selector(config, poly))
-    c = CoefficientSet.from_config(config.get("coefficients", {}))
+    mesh, poly, part, c = build_problem(config)
     sys_ = assemble(mesh, part, c, lump_boundary_mass=True)
     sg = build_semigroup(sys_)
     t_list = [float(t) for t in config["t_grid"]]

@@ -39,6 +39,10 @@ __all__ = [
     "identity_diffeo",
 ]
 
+# validate_diffeo's finite-difference step and relative tolerance
+FD_STEP = 1e-6
+FD_RTOL = 1e-4
+
 
 class ScalarField:
     """A point-evaluable real field on the plane.
@@ -164,20 +168,12 @@ class CoefficientSet:
 
 
 def quadrature_points(mesh):
-    """Edge-midpoint quadrature nodes and weights per triangle.
+    """Edge-midpoint quadrature nodes per triangle, shape (nt, 3, 2).
 
-    Returns (points, weights) with shapes (nt, 3, 2) and (nt, 3); the
-    rule is exact for quadratics (order 2).
+    With weights area/3 each the rule is exact for quadratics (order 2).
     """
     v = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    pts = 0.5 * (v + np.roll(v, -1, axis=1))   # midpoints of edges 01,12,20
-    a = v[:, 0]
-    b = v[:, 1]
-    c = v[:, 2]
-    area = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    weights = np.repeat(area[:, None] / 3.0, 3, axis=1)
-    return pts, weights
+    return 0.5 * (v + np.roll(v, -1, axis=1))  # midpoints of edges 01,12,20
 
 
 def _sample_fields(c: CoefficientSet, xs, ys):
@@ -224,7 +220,7 @@ def certify(c: CoefficientSet, mesh):
     minimum over samples of the smallest eigenvalue of the symmetrized
     matrix part; raises NonEllipticError when eta <= 0.
     """
-    pts, _ = quadrature_points(mesh)
+    pts = quadrature_points(mesh)
     return _certificate(_sample_fields(c, pts[..., 0], pts[..., 1]))
 
 
@@ -234,13 +230,12 @@ class Diffeo:
 
     forward: pair of ScalarField, jacobian: 2x2 of ScalarField (entry
     [i][j] is the derivative of component i with respect to variable j).
-    boundary_fixed promises the map is the identity on the boundary of
-    the domain it will be used on; validate() checks the promise.
+    The map must be the identity on the boundary of the domain it is
+    used on; validate_diffeo checks that on a mesh.
     """
 
     forward: tuple
     jacobian: tuple
-    boundary_fixed: bool = True
 
     def map_point(self, x, y):
         return self.forward[0](x, y), self.forward[1](x, y)
@@ -269,7 +264,6 @@ def identity_diffeo() -> Diffeo:
         forward=(ScalarField("x"), ScalarField("y")),
         jacobian=((ScalarField(1.0), ScalarField(0.0)),
                   (ScalarField(0.0), ScalarField(1.0))),
-        boundary_fixed=True,
     )
 
 
@@ -306,7 +300,6 @@ def bump_diffeo(alpha=0.12, c1=1.0, c2=-0.7) -> Diffeo:
         forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
         jacobian=((ScalarField(j11), ScalarField(j12)),
                   (ScalarField(j21), ScalarField(j22))),
-        boundary_fixed=True,
     )
 
 
@@ -360,7 +353,6 @@ def radial_bump_diffeo(alpha=0.35, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
     return Diffeo(
         forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
         jacobian=((jac(0, 0), jac(0, 1)), (jac(1, 0), jac(1, 1))),
-        boundary_fixed=True,
     )
 
 
@@ -410,41 +402,38 @@ def twist_diffeo(alpha=0.8, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
     return Diffeo(
         forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
         jacobian=((jac(0, 0), jac(0, 1)), (jac(1, 0), jac(1, 1))),
-        boundary_fixed=True,
     )
 
 
-def validate_diffeo(phi: Diffeo, mesh, fd_step=1e-6, fd_rtol=1e-4):
+def validate_diffeo(phi: Diffeo, mesh):
     """Check a diffeomorphism against a mesh.
 
-    Verifies det > 0 at quadrature nodes, the boundary-fixed promise at
+    Verifies det > 0 at quadrature nodes, that the map fixes the
     boundary vertices and edge midpoints, and the declared Jacobian
-    against central finite differences at a sample of nodes.
+    against central finite differences (step FD_STEP, relative
+    tolerance FD_RTOL) at a sample of nodes.
     """
-    pts, _ = quadrature_points(mesh)
+    pts = quadrature_points(mesh)
     xs, ys = pts[..., 0], pts[..., 1]
     J, det = phi.jacobian_batch(xs, ys)
-    if phi.boundary_fixed:
-        bv = mesh.boundary_vertices()
-        bx = mesh.vertices[bv, 0]
-        by = mesh.vertices[bv, 1]
-        mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
-                      + mesh.vertices[mesh.boundary_edges[:, 1]])
-        for px, py in [(bx, by), (mids[:, 0], mids[:, 1])]:
-            fx = phi.forward[0].eval_batch(px, py)
-            fy = phi.forward[1].eval_batch(px, py)
-            shift = max(float(np.max(np.abs(fx - px))),
-                        float(np.max(np.abs(fy - py))))
-            if shift > 1e-10:
-                raise SingularJacobianError(
-                    f"map claimed boundary-fixed but moves the boundary "
-                    f"by {shift:.3e}"
-                )
+    bv = mesh.boundary_vertices()
+    bx = mesh.vertices[bv, 0]
+    by = mesh.vertices[bv, 1]
+    mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
+                  + mesh.vertices[mesh.boundary_edges[:, 1]])
+    for px, py in [(bx, by), (mids[:, 0], mids[:, 1])]:
+        fx = phi.forward[0].eval_batch(px, py)
+        fy = phi.forward[1].eval_batch(px, py)
+        shift = max(float(np.max(np.abs(fx - px))),
+                    float(np.max(np.abs(fy - py))))
+        if shift > 1e-10:
+            raise SingularJacobianError(
+                f"map must fix the boundary but moves it by {shift:.3e}")
     # spot-check the Jacobian on a thinned sample
     sel = slice(0, xs.size, max(1, xs.size // 64))
     sx = xs.ravel()[sel]
     sy = ys.ravel()[sel]
-    h = fd_step
+    h = FD_STEP
     for i in range(2):
         f = phi.forward[i]
         dfdx = (f.eval_batch(sx + h, sy) - f.eval_batch(sx - h, sy)) / (2 * h)
@@ -453,7 +442,7 @@ def validate_diffeo(phi: Diffeo, mesh, fd_step=1e-6, fd_rtol=1e-4):
         declared_y = phi.jacobian[i][1].eval_batch(sx, sy)
         err = max(float(np.max(np.abs(dfdx - declared_x))),
                   float(np.max(np.abs(dfdy - declared_y))))
-        if err > fd_rtol * (1.0 + float(np.max(np.abs(J)))):
+        if err > FD_RTOL * (1.0 + float(np.max(np.abs(J)))):
             raise SingularJacobianError(
                 f"declared Jacobian disagrees with finite differences "
                 f"(max error {err:.3e})"
@@ -478,9 +467,6 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
     up to quadrature error, which is what makes the two discrete
     operators comparable in gauge experiments.
     """
-    if not phi.boundary_fixed:
-        raise ValueError("pullback requires a boundary-fixed map")
-
     def matrix_entry(i, j):
         def entry(xs, ys):
             J, det = phi.jacobian_batch(xs, ys)

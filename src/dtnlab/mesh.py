@@ -53,7 +53,6 @@ class Mesh:
     vertices: np.ndarray          # (nv, 2) float
     triangles: np.ndarray         # (nt, 3) int, counter-clockwise
     boundary_edges: np.ndarray    # (nb, 2) int, directed, domain on left
-    boundary_normals: np.ndarray  # (nb, 2) float, outward unit normals
     h_max: float
     boundary_parent: np.ndarray | None = field(default=None, compare=False)
 
@@ -166,17 +165,6 @@ def _extract_boundary(triangles, nv):
     return edges[~_contains(keys, _directed_keys(edges[:, ::-1], nv))]
 
 
-def _outward_normals(vertices, boundary_edges):
-    p = vertices[boundary_edges[:, 0]]
-    q = vertices[boundary_edges[:, 1]]
-    t = q - p
-    lengths = np.linalg.norm(t, axis=1)
-    if np.any(lengths == 0):
-        raise MeshInvariantError("zero-length boundary edge")
-    n = np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
-    return n
-
-
 def _h_max(vertices, triangles):
     edges = _directed_edges(triangles)
     d = vertices[edges[:, 1]] - vertices[edges[:, 0]]
@@ -200,7 +188,6 @@ def _make_mesh(vertices, triangles, boundary_parent=None, boundary=None):
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
         boundary_edges=_freeze(boundary),
-        boundary_normals=_freeze(_outward_normals(vertices, boundary)),
         h_max=_h_max(vertices, triangles),
         boundary_parent=None if boundary_parent is None else _freeze(boundary_parent),
     )
@@ -291,14 +278,12 @@ def build_structured_square(n: int) -> Mesh:
     return _make_mesh(vertices, triangles)
 
 
-def regular_polygon(n_sides: int, radius: float = 1.0,
-                    center=(0.0, 0.0)) -> np.ndarray:
-    """Vertices of a regular polygon inscribed in a circle (CCW)."""
+def regular_polygon(n_sides: int, radius: float = 1.0) -> np.ndarray:
+    """CCW vertices of a regular polygon inscribed in a circle about 0."""
     if n_sides < 3:
         raise ValueError("need at least 3 sides")
     th = 2.0 * np.pi * np.arange(n_sides) / n_sides
-    return np.column_stack([center[0] + radius * np.cos(th),
-                            center[1] + radius * np.sin(th)])
+    return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
 
 
 def lshape_polygon() -> np.ndarray:

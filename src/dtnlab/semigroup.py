@@ -252,18 +252,17 @@ def _same_mesh(a: AssembledSystem, b: AssembledSystem) -> bool:
 
 
 def _same_fields(a: AssembledSystem, b: AssembledSystem,
-                 matrix=True, potential=True) -> bool:
+                 potential=True) -> bool:
     """Whether the two systems were assembled from equal samples.
 
-    Drift always, the matrix and the potential on request; call after
-    _same_mesh.
+    The matrix and the drift always, the potential on request; call
+    after _same_mesh.
     """
     fa, fb = a.samples, b.samples
     if any(x.shape != y.shape for x, y in zip(fa, fb)):
         return False
-    ok = np.allclose(fa[1], fb[1], atol=1e-12)   # drift
-    if matrix:
-        ok = ok and np.allclose(fa[0], fb[0], atol=1e-12)
+    ok = (np.allclose(fa[1], fb[1], atol=1e-12)    # drift
+          and np.allclose(fa[0], fb[0], atol=1e-12))
     if potential:
         ok = ok and np.allclose(fa[3], fb[3], atol=1e-12)
     return ok
@@ -327,16 +326,15 @@ def potential_monotonicity_report(sg_a: BoundarySemigroup,
                          trials, seed, _uniform, _not_dominated)
 
 
-def lp_contraction_report(sg: BoundarySemigroup, t_list,
-                          p_list=(1.0, 2.0, np.inf)):
+def lp_contraction_report(sg: BoundarySemigroup, t_list):
     """Weighted l^p operator norms of the propagator at each time.
 
-    Weights are the lumped gamma1 boundary weights for p in {1, inf},
-    where the sub-Markov setting gives norms <= 1.  For p = 2 the norm
-    is the one of the Bb inner product, ||L^T P L^{-T}||_2 with
-    Bb = L L^T and P the propagator, which is at most exp(-w0 t) by
-    spectral calculus when the modes are Bb-orthonormal.  Returns rows
-    (p, t, norm, bound, ok).
+    Rows (p, t, norm, bound, ok) for p = 1, 2, inf at each t.  Weights
+    are the lumped gamma1 boundary weights for p in {1, inf}, where the
+    sub-Markov setting gives norms <= 1.  For p = 2 the norm is the one
+    of the Bb inner product, ||L^T P L^{-T}||_2 with Bb = L L^T and P
+    the propagator, which is at most exp(-w0 t) by spectral calculus
+    when the modes are Bb-orthonormal.
     """
     check_order_hypotheses(sg.sys, require_nonneg_potential=True,
                            require_zero_drift=True)
@@ -345,19 +343,14 @@ def lp_contraction_report(sg: BoundarySemigroup, t_list,
     rows = []
     for t in t_list:
         G = propagator(sg, t)
-        for p in p_list:
-            if p == np.inf:
-                norm = float(np.max(np.sum(np.abs(G), axis=1)))
-                bound = 1.0 + TOL_POS
-            elif p == 1.0:
-                norm = float(np.max((w @ np.abs(G)) / w))
-                bound = 1.0 + TOL_POS
-            elif p == 2.0:
-                # L^T P L^{-T} is the transpose of L^{-1} (P^T L)
-                X = scipy.linalg.solve_triangular(L, G.T @ L, lower=True)
-                norm = float(np.linalg.norm(X, 2))
-                bound = float(np.exp(-t * sg.w0)) * (1.0 + 1e-10)
-            else:
-                raise ValueError("p must be 1, 2 or inf")
-            rows.append((p, t, norm, bound, norm <= bound))
-    return rows
+        # L^T P L^{-T} is the transpose of L^{-1} (P^T L)
+        X = scipy.linalg.solve_triangular(L, G.T @ L, lower=True)
+        rows += [
+            (1.0, t, float(np.max((w @ np.abs(G)) / w)), 1.0 + TOL_POS),
+            (2.0, t, float(np.linalg.norm(X, 2)),
+             float(np.exp(-t * sg.w0)) * (1.0 + 1e-10)),
+            (np.inf, t, float(np.max(np.sum(np.abs(G), axis=1))),
+             1.0 + TOL_POS),
+        ]
+    return [(p, t, norm, bound, norm <= bound)
+            for p, t, norm, bound in rows]

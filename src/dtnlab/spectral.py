@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 CLUSTER_RTOL = 1e-6
+GAP_PROBE = 10           # Dirichlet eigenvalues lambda_in_gaps looks at
 
 # Sparse pencils with more rows than this go to shift-invert Lanczos;
 # smaller or dense ones to LAPACK.
@@ -412,13 +413,13 @@ def _sparse_geneig(K, mass, k, shift_hint):
     raise SolverError(f"sparse eigensolve not certified: {reason}")
 
 
-def cluster_indices(values, rtol: float = CLUSTER_RTOL):
+def cluster_indices(values):
     """Group ascending eigenvalues into multiplicity clusters."""
     values = np.asarray(values)
     groups = []
     current = [0]
     for i in range(1, len(values)):
-        tol = rtol * max(1.0, abs(values[i]), abs(values[i - 1]))
+        tol = CLUSTER_RTOL * max(1.0, abs(values[i]), abs(values[i - 1]))
         if values[i] - values[i - 1] <= tol:
             current.append(i)
         else:
@@ -709,18 +710,17 @@ def dtn_equality_check(sysA: AssembledSystem, sysB: AssembledSystem,
     return max(parallel_map(defect, list(lambda_list)))
 
 
-def lambda_in_gaps(sys: AssembledSystem, count: int = 3,
-                   k_probe: int = 10):
-    """Midpoints of the widest gaps of the discrete Dirichlet spectrum.
+def lambda_in_gaps(sys: AssembledSystem, count: int = 3):
+    """Midpoints of the widest gaps between the GAP_PROBE smallest
+    Dirichlet eigenvalues, the interval below the smallest included.
 
-    Includes the interval below the smallest eigenvalue.  Returns an
-    ascending array of `count` spectral parameters safe for Schur
-    complements on this discretization.
+    Returns an ascending array of `count` spectral parameters safe for
+    Schur complements on this discretization.
     """
     n_int = len(sys.interior_dofs)
     if n_int == 0:
         raise EmptyInteriorError("no interior dofs")
-    k = min(k_probe, n_int)
+    k = min(GAP_PROBE, n_int)
     vals = dirichlet_spectrum(sys, k).eigenvalues
     distinct = [float(vals[g[0]]) for g in cluster_indices(vals)]
     first_width = (distinct[1] - distinct[0]) if len(distinct) > 1 else 1.0

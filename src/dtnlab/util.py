@@ -1,39 +1,21 @@
-"""Small shared helpers: bounded parallelism and config hashing."""
+"""Small shared helpers: the defect-loop map and config hashing.
+
+parallel_map is a plain in-order map.  It stays a named function so that
+the benchmark tracer can time the gauge study's Schur-complement defect
+loop (spectral.dtn_equality_check) and count its items.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["thread_count", "parallel_map", "config_hash"]
-
-
-def thread_count() -> int:
-    """Worker count from DTNLAB_THREADS (0 or unset = automatic)."""
-    raw = os.environ.get("DTNLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(4, os.cpu_count() or 1)
-    return n
+__all__ = ["parallel_map", "config_hash"]
 
 
 def parallel_map(fn, items):
-    """Map preserving order; threads when more than one worker is allowed.
-
-    Each task must own its state (factorizations etc.); results are
-    merged deterministically by input order.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in input order, in the calling thread."""
+    return [fn(x) for x in items]
 
 
 def config_hash(config: dict) -> str:

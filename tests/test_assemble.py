@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dtnlab.assemble import (
     assemble,
@@ -14,8 +15,11 @@ from dtnlab.assemble import (
 from dtnlab.coeffs import CoefficientSet, certify
 from dtnlab.errors import EmptyInteriorError, NonEllipticError
 from dtnlab.mesh import (
+    build_polygon_mesh,
     build_structured_square,
+    lshape_polygon,
     partition_boundary,
+    polygon_edge_selector,
     refine,
     refine_partition,
     square_side_selector,
@@ -192,9 +196,53 @@ def test_lumped_boundary_mass():
     assert one @ (full_l.B @ one) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_quadrature_order_recorded():
-    sys_ = square_system(n=2)
-    assert sys_.quadrature_order == 2
+def _per_edge_boundary_mass(sys_, lumped):
+    """Reference: B and the lumped weights, one gamma1 edge at a time."""
+    mesh, dof_map, n = sys_.mesh, sys_.dof_map, sys_.n_free
+    b_rows, b_cols, b_vals = [], [], []
+    w = np.zeros(n)
+    lengths = mesh.edge_lengths()
+    for e in sys_.part.gamma1_edges:
+        va, vb = mesh.boundary_edges[e]
+        L = lengths[e]
+        da, db = dof_map[va], dof_map[vb]
+        for d in (da, db):
+            if d >= 0:
+                w[d] += L / 2.0
+        if lumped:
+            for d in (da, db):
+                if d >= 0:
+                    b_rows.append(d)
+                    b_cols.append(d)
+                    b_vals.append(L / 2.0)
+        else:
+            block = L / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+            for ii, d1 in enumerate((da, db)):
+                for jj, d2 in enumerate((da, db)):
+                    if d1 >= 0 and d2 >= 0:
+                        b_rows.append(d1)
+                        b_cols.append(d2)
+                        b_vals.append(block[ii, jj])
+    B = sp.coo_matrix((b_vals, (b_rows, b_cols)), shape=(n, n)).tocsr()
+    return B, w
+
+
+@pytest.mark.parametrize("lumped", [False, True])
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_boundary_mass_matches_per_edge_loop(domain, lumped):
+    if domain == "square":
+        mesh = build_structured_square(5)
+        part = partition_boundary(mesh, square_side_selector(["left"]))
+    else:
+        poly = lshape_polygon()
+        mesh = build_polygon_mesh(poly, 0.25)
+        part = partition_boundary(mesh, polygon_edge_selector(poly, [0, 3]))
+    sys_ = assemble(mesh, part, CoefficientSet.identity(),
+                    lump_boundary_mass=lumped)
+    B, w = _per_edge_boundary_mass(sys_, lumped)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sys_.B, name), getattr(B, name)), name
+    assert lumped_boundary_weights(sys_).tobytes() == w.tobytes()
 
 
 def test_monotone_refinement_of_dirichlet_eigenvalues():

@@ -158,15 +158,12 @@ def test_coercivity_scaling_monotonicity():
     # doubling the coefficients cannot shrink the fitted coercivity at
     # fixed shift
     sys1 = square_system(n=8, gamma0_sides=("left",))
-    from dtnlab.coeffs import CoefficientSet
     sys2 = square_system(n=8, gamma0_sides=("left",),
                          coeffs=CoefficientSet.make(a=((2.0, 0.0), (0.0, 2.0))))
     w = 1.0
     rng = np.random.default_rng(3)
     d1 = dtn_matrix(sys1, 0.0)
     d2 = dtn_matrix(sys2, 0.0)
-    from dtnlab.assemble import assemble
-    from dtnlab.coeffs import CoefficientSet as CS, certify
     K = sys1.A + sys1.M
     deltas = []
     for d, s in ((d1, sys1), (d2, sys2)):

@@ -1,6 +1,7 @@
 """Eigen-solvers, spectral duality, curves, limits and matching."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -467,6 +468,16 @@ def test_dtn_equality_identical_and_shifted():
     sys_up = square_system(n=8, gamma0_sides=("left",),
                            coeffs=CoefficientSet.make(a0=1.0))
     assert dtn_equality_check(sys_, sys_up, [0.0]) > 1e-3
+
+
+def test_dtn_equality_check_runs_in_calling_thread(monkeypatch):
+    sys_ = square_system(n=4, gamma0_sides=("left",))
+    threads = []
+    real = spectral.dtn_matrix
+    monkeypatch.setattr(spectral, "dtn_matrix", lambda *args: (
+        threads.append(threading.get_ident()) or real(*args)))
+    dtn_equality_check(sys_, sys_, [0.0, 1.0, 2.0])
+    assert threads == [threading.get_ident()] * 6
 
 
 def test_counting_functions_agree_for_matched_systems():
