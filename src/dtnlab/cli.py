@@ -80,9 +80,23 @@ DEFAULT_CONFIG = {
     "out": "results",
 }
 
+_ALSO_ALLOWED = {"lambda_grid": "array"}     # besides its default's kind
+# bool before number: bool subclasses int
+_JSON_KINDS = ((bool, "boolean"), ((int, float), "number"), (str, "string"),
+               (dict, "object"), ((list, tuple), "array"))
+
+
+def _json_kind(value):
+    return next((kind for types, kind in _JSON_KINDS
+                 if isinstance(value, types)), "null")
+
 
 def resolve_config(path=None, overrides=None):
-    """Merge the built-in defaults, a config file and CLI overrides."""
+    """Merge the built-in defaults, a config file and CLI overrides.
+
+    Raises ConfigError when a top-level value's JSON kind (object,
+    array, number, string, boolean) differs from its default's.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -100,6 +114,11 @@ def resolve_config(path=None, overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             config[key] = value
+    for key, default in DEFAULT_CONFIG.items():
+        kind = _json_kind(config[key])
+        if kind not in (_json_kind(default), _ALSO_ALLOWED.get(key)):
+            raise ConfigError(f"config key {key!r} must be a JSON "
+                              f"{_json_kind(default)}, not {kind}")
     return config
 
 
@@ -124,7 +143,7 @@ def build_domain(config):
 
 
 def build_selector(config, poly):
-    g0 = config.get("gamma0", {"type": "none"})
+    g0 = config["gamma0"]
     kind = g0.get("type", "none")
     if kind == "none":
         return lambda x, y: False
@@ -141,7 +160,7 @@ def build_problem(config):
     """(mesh, poly, part, c): domain, gamma0 partition and coefficients."""
     mesh, poly = build_domain(config)
     part = partition_boundary(mesh, build_selector(config, poly))
-    c = CoefficientSet.from_config(config.get("coefficients", {}))
+    c = CoefficientSet.from_config(config["coefficients"])
     return mesh, poly, part, c
 
 
@@ -168,7 +187,7 @@ def build_diffeo(block):
 
 
 def lambda_values(config, sys):
-    grid = config.get("lambda_grid", {"gaps": 3})
+    grid = config["lambda_grid"]
     if isinstance(grid, dict):
         return lambda_in_gaps(sys, int(grid.get("gaps", 3)))
     return np.asarray(grid, dtype=float)
@@ -184,7 +203,7 @@ class Reporter:
         hashed = {k: v for k, v in config.items() if k != "out"}
         self.header = (f"# dtnlab {__version__} "
                        f"config={config_hash(hashed)} "
-                       f"seed={config.get('seed', 0)}")
+                       f"seed={config['seed']}")
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
             json.dump(config, f, indent=2, sort_keys=True)
@@ -312,7 +331,7 @@ def cmd_limit(config, rep: Reporter) -> bool:
 
 def _tilde_gamma0(config, poly):
     """A strictly larger gamma0 for the domination study."""
-    g0 = config.get("gamma0", {"type": "none"})
+    g0 = config["gamma0"]
     kind = g0.get("type", "none")
     if kind in ("none", "sides") and config["domain"]["type"] == "square":
         sides = list(g0.get("sides", [])) if kind == "sides" else []
@@ -332,7 +351,7 @@ def cmd_semigroup(config, rep: Reporter) -> bool:
     sg = build_semigroup(sys_)
     t_list = [float(t) for t in config["t_grid"]]
     trials = int(config["trials"])
-    seed = int(config.get("seed", 0))
+    seed = int(config["seed"])
 
     reports = [
         positivity_report(sg, t_list, trials, seed=seed),
@@ -365,18 +384,17 @@ def cmd_semigroup(config, rep: Reporter) -> bool:
 
 def cmd_gauge(config, rep: Reporter) -> bool:
     g = config["gauge"]
-    base = build_structured_square(int(g.get("base_n", 4)))
+    base = build_structured_square(int(g["base_n"]))
     sel = build_selector(config, None) \
         if config["domain"]["type"] == "square" else (lambda x, y: False)
     part = partition_boundary(base, sel)
-    c = CoefficientSet.from_config(config.get("coefficients", {}))
-    phi = build_diffeo(g.get("diffeo", {}))
+    c = CoefficientSet.from_config(config["coefficients"])
+    phi = build_diffeo(g["diffeo"])
     study = gauge_experiment(
         base, part, c, phi,
-        refinements=int(g.get("refinements", 3)),
-        k=int(g.get("k", 6)),
-        mu_list=[float(m) for m in g.get("mu", (-5.0, 0.0, 5.0))],
-        lambda_list=[float(v) for v in g.get("lambda", (0.0,))],
+        refinements=int(g["refinements"]), k=int(g["k"]),
+        mu_list=[float(m) for m in g["mu"]],
+        lambda_list=[float(v) for v in g["lambda"]],
     )
     rows = [(i, study.h_list[i], study.dtn_defects[i], study.max_gaps[i])
             for i in range(len(study.h_list))]
@@ -418,8 +436,6 @@ def make_parser():
     parser.add_argument("--config", metavar="PATH", default=None)
     parser.add_argument("--out", metavar="DIR", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--refinements", type=int, default=None)
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -431,12 +447,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = resolve_config(args.config, {
-            "seed": args.seed, "k": args.k,
-            "out": args.out,
-        })
-        if args.refinements is not None:
-            config["gauge"]["refinements"] = args.refinements
+        config = resolve_config(args.config,
+                                {"seed": args.seed, "out": args.out})
         rep = Reporter(config["out"], config, quiet=args.quiet)
         if args.command == "all":
             ok = True

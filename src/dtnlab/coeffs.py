@@ -49,8 +49,7 @@ class ScalarField:
 
     Wraps a constant, an expression string/tree, or a numpy array
     function f(xs, ys).  An expression is compiled once, here, into a
-    numpy closure (exprlang.compile_expr) that eval_batch calls;
-    __call__ evaluates one point with the scalar reference eval_expr.
+    numpy closure (exprlang.compile_expr) that eval_batch calls.
     """
 
     def __init__(self, spec):
@@ -84,13 +83,6 @@ class ScalarField:
         if self._kind != "const":
             raise ValueError("field is not constant")
         return self._payload
-
-    def __call__(self, x, y):
-        if self._kind == "const":
-            return self._payload
-        if self._kind == "expr":
-            return exprlang.eval_expr(self._payload, x, y)
-        return float(self._payload(x, y))
 
     def eval_batch(self, xs, ys):
         """Evaluate at arrays of points; returns a float array."""
@@ -236,9 +228,6 @@ class Diffeo:
 
     forward: tuple
     jacobian: tuple
-
-    def map_point(self, x, y):
-        return self.forward[0](x, y), self.forward[1](x, y)
 
     def jacobian_batch(self, xs, ys):
         """Jacobian matrices and determinants at arrays of points.
@@ -503,7 +492,9 @@ def transport_mesh(mesh, phi: Diffeo):
     """Move mesh vertices through the map (topology and labels kept)."""
     from .mesh import map_vertices
 
-    return map_vertices(mesh, lambda x, y: phi.map_point(x, y))
+    fx, fy = phi.forward
+    return map_vertices(mesh, lambda xs, ys: (fx.eval_batch(xs, ys),
+                                              fy.eval_batch(xs, ys)))
 
 
 def mass_weight(phi: Diffeo) -> ScalarField:

@@ -11,12 +11,12 @@ extensions.  Paired with the gamma1 boundary mass Bb, the generalized
 pair (S, Bb) is the boundary operator all spectral and semigroup
 computations consume; the explicit product Bb^{-1} S is never formed.
 
-C is formed once per DtnMatrix, and harmonic_extension reuses its
-factorization.  C stays sparse, its coupling blocks C_BI and C_IB
-included: C_II enters only through its SuperLU factorization, and C_IB
-is made dense only as the right-hand side of that solve.  S and Bb
-(b x b, b the number of gamma1 dofs) are the only dense matrices
-returned.
+A DtnMatrix is the one record of the operator at one lambda, and
+harmonic_extension, decompose and coercivity_report solve with its
+factor of C_II instead of factoring again.  C stays sparse, its
+coupling blocks C_BI and C_IB included: C_IB is made dense only as the
+right-hand side of the interior solve.  S and Bb (b x b, b the number
+of gamma1 dofs) are the only dense matrices formed.
 """
 
 from __future__ import annotations
@@ -45,22 +45,22 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class DtnMatrix:
-    """Schur complement S(lambda) with its gamma1 boundary mass.
+    """C = A - lambda*M, its Schur complement S, the gamma1 boundary
+    mass Bb and the interior factorization S was formed with."""
 
-    interior is the factorization of C_II that S was formed with;
-    harmonic_extension, decompose and coercivity_report solve with it
-    instead of factoring again.
-    """
-
+    sys: AssembledSystem = field(repr=False)
+    lam: float
+    C: object = field(repr=False)        # sparse CSC over the free dofs
     S: np.ndarray
     Bb: np.ndarray
-    lam: float
-    boundary_dofs: np.ndarray
-    interior: _InteriorSolve = field(compare=False, repr=False)
+    cond_interior: float                 # 1-norm condition number of C_II
+    lu: object = field(compare=False, repr=False)  # SuperLU of C_II or None
 
-    @property
-    def cond_interior(self) -> float:
-        return self.interior.cond
+    def solve_interior(self, rhs):
+        """C_II^{-1} rhs; an empty result when there are no interior dofs."""
+        if self.lu is None:
+            return np.zeros((0,) + rhs.shape[1:])
+        return self.lu.solve(rhs)
 
 
 @dataclass(frozen=True)
@@ -78,41 +78,6 @@ class CoercivityReport:
     m: float
 
 
-class _InteriorSolve:
-    """C = A - lam*M on the free dofs, with the LU factorization of its
-    interior block C_II and the 1-norm condition number of C_II."""
-
-    def __init__(self, sys: AssembledSystem, lam: float):
-        self.sys = sys
-        self.lam = lam
-        self.C = (sys.A - lam * sys.M).tocsc()
-        idx = sys.interior_dofs
-        self.size = len(idx)
-        if self.size == 0:
-            self.cond = 1.0
-            self._lu = None
-            return
-        T = self.C[idx, :][:, idx]
-        try:
-            self._lu = spla.splu(T)
-        except RuntimeError as exc:
-            raise NearDirichletSpectrumError(lam, float("inf")) from exc
-        op = spla.LinearOperator(
-            (self.size, self.size),
-            matvec=lambda v: self._lu.solve(v),
-            rmatvec=lambda v: self._lu.solve(v, trans="T"),
-        )
-        self.cond = (float(np.max(np.abs(T).sum(axis=0)))
-                     * float(spla.onenormest(op)))
-        if not np.isfinite(self.cond) or self.cond > COND_LIMIT:
-            raise NearDirichletSpectrumError(lam, self.cond)
-
-    def solve(self, rhs):
-        if self.size == 0:
-            return np.zeros((0,) + rhs.shape[1:])
-        return self._lu.solve(rhs)
-
-
 def harmonic_extension(d: DtnMatrix, phi) -> HarmonicExtensionResult:
     """Extend gamma1 boundary data into the discrete lambda-harmonic space.
 
@@ -122,18 +87,16 @@ def harmonic_extension(d: DtnMatrix, phi) -> HarmonicExtensionResult:
     on the boundary dofs, through the interior factorization of d; u
     has the shape of phi with its first axis running over the free dofs.
     """
-    solver = d.interior
-    sys, C = solver.sys, solver.C
+    sys, C = d.sys, d.C
     phi = np.asarray(phi, dtype=float)
     if phi.ndim not in (1, 2) or phi.shape[0] != len(sys.boundary_dofs):
         raise ValueError("phi must be indexed by the gamma1 boundary dofs")
     u = np.zeros((sys.n_free,) + phi.shape[1:])
     u[sys.boundary_dofs] = phi
-    if solver.size:
-        rhs = -(C[sys.interior_dofs, :][:, sys.boundary_dofs] @ phi)
-        u[sys.interior_dofs] = solver.solve(rhs)
+    rhs = -(C[sys.interior_dofs, :][:, sys.boundary_dofs] @ phi)
+    u[sys.interior_dofs] = d.solve_interior(rhs)
     resid = np.abs(C @ u)[sys.interior_dofs]
-    scale = ((np.abs(sys.A).max() + abs(solver.lam) * np.abs(sys.M).max())
+    scale = ((np.abs(sys.A).max() + abs(d.lam) * np.abs(sys.M).max())
              * np.maximum(1.0, np.abs(u).max(axis=0)))
     rel = float(np.max(resid / scale, initial=0.0))
     return HarmonicExtensionResult(u=u, residual_interior=rel)
@@ -145,18 +108,30 @@ def dtn_matrix(sys: AssembledSystem, lam: float) -> DtnMatrix:
     S = C_BB - C_BI (C_II^{-1} C_IB) with C = A - lambda*M.  The coupling
     blocks stay sparse: C_BI multiplies the dense solve C_II^{-1} C_IB
     as a sparse matrix, so no BLAS product runs between sparse solves.
-    S and Bb are the only dense b x b results.
+    Raises NearDirichletSpectrumError when C_II is singular or
+    cond_interior exceeds COND_LIMIT.
     """
     bd = sys.boundary_dofs
     idx = sys.interior_dofs
-    solver = _InteriorSolve(sys, lam)
-    C = solver.C
+    C = (sys.A - lam * sys.M).tocsc()
     S = C[bd, :][:, bd].toarray()
-    if solver.size:
-        S -= C[bd, :][:, idx] @ solver.solve(C[idx, :][:, bd].toarray())
+    lu, cond = None, 1.0
+    if len(idx):
+        T = C[idx, :][:, idx]
+        try:
+            lu = spla.splu(T)
+        except RuntimeError as exc:
+            raise NearDirichletSpectrumError(lam, float("inf")) from exc
+        op = spla.LinearOperator(T.shape, matvec=lu.solve,
+                                 rmatvec=lambda v: lu.solve(v, trans="T"))
+        cond = (float(np.max(np.abs(T).sum(axis=0)))
+                * float(spla.onenormest(op)))
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise NearDirichletSpectrumError(lam, cond)
+        S -= C[bd, :][:, idx] @ lu.solve(C[idx, :][:, bd].toarray())
     Bb = sys.B[bd, :][:, bd].toarray()
-    return DtnMatrix(S=S, Bb=Bb, lam=float(lam), boundary_dofs=bd.copy(),
-                     interior=solver)
+    return DtnMatrix(sys=sys, lam=float(lam), C=C, S=S, Bb=Bb,
+                     cond_interior=cond, lu=lu)
 
 
 def decompose(d: DtnMatrix, u):
@@ -167,7 +142,7 @@ def decompose(d: DtnMatrix, u):
     u; the identity u = embed(u0) + ext.u holds exactly on the boundary
     dofs and to roundoff elsewhere.
     """
-    sys = d.interior.sys
+    sys = d.sys
     u = np.asarray(u, dtype=float)
     ext = harmonic_extension(d, u[sys.boundary_dofs])
     u0 = (u - ext.u)[sys.interior_dofs]
@@ -197,7 +172,7 @@ def coercivity_report(d: DtnMatrix) -> CoercivityReport:
     (S, Bb).
     """
     from .spectral import sym_geneig   # spectral imports us
-    sys = d.interior.sys
+    sys = d.sys
     b = d.S.shape[0]
     nu = sym_geneig(d.S, d.Bb, b).eigenvalues
     w = (1.1 * max(0.0, -float(nu[0]))

@@ -547,11 +547,11 @@ def polygon_edge_selector(polygon, edge_indices):
 
 
 def map_vertices(mesh: Mesh, fn) -> Mesh:
-    """Move every vertex through fn(x, y) -> (x', y'), keeping topology.
+    """Move all vertices by one call fn(xs, ys) -> (xs', ys'), topology kept.
 
     Raises MeshInvariantError if any triangle flips orientation.
     """
-    moved = np.array([fn(x, y) for x, y in mesh.vertices], dtype=np.float64)
+    moved = np.column_stack(fn(*mesh.vertices.T)).astype(np.float64)
     return _make_mesh(moved, mesh.triangles.copy(),
                       boundary_parent=None if mesh.boundary_parent is None
                       else mesh.boundary_parent.copy())

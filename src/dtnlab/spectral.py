@@ -90,7 +90,6 @@ class EigenCurve:
 
     mu_grid: np.ndarray        # (steps,)
     values: np.ndarray         # (k, steps)
-    clusters: list             # per sample: list of index groups
     max_violation: float       # worst increase along any row
 
 
@@ -501,13 +500,12 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     A_norm = spla.norm(sys.A)
     S_norm = np.abs(d.S).max() or 1.0
     tol_lam = CLUSTER_RTOL * max(1.0, abs(lam))
-    C = d.interior.C
     cols = spec.eigenvectors[:, np.array(js, dtype=int) - 1]
     exts = harmonic_extension(d, cols).u
     results = []
     for jj, u in zip(js, exts.T):
         mu_j = float(spec.eigenvalues[jj - 1])
-        residual = float(np.linalg.norm(C @ u - mu_j * (sys.B @ u))
+        residual = float(np.linalg.norm(d.C @ u - mu_j * (sys.B @ u))
                          / (A_norm * np.linalg.norm(u)))
 
         tol_mu = CLUSTER_RTOL * max(1.0, abs(mu_j))
@@ -559,9 +557,8 @@ def eigen_curves(sys: AssembledSystem, mu_min: float, mu_max: float,
                 f"Robin solve failed at mu={grid[s]}: {exc}") from exc
         hint = float(columns[s][0])
     values = np.column_stack(columns)
-    clusters = [cluster_indices(col) for col in columns]
-    max_violation = float(np.max(np.diff(values, axis=1))) if steps > 1 else 0.0
-    return EigenCurve(mu_grid=grid, values=values, clusters=clusters,
+    max_violation = float(np.max(np.diff(values, axis=1)))
+    return EigenCurve(mu_grid=grid, values=values,
                       max_violation=max_violation)
 
 

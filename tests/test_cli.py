@@ -160,3 +160,31 @@ def test_bad_domain_type_exits_two(tmp_path):
     path.write_text(json.dumps({"domain": {"type": "torus"}}))
     assert run(["validate", "--config", str(path),
                 "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("spectrum", {"k": "five"}),
+    ("validate", {"gamma0": None}),
+    ("validate", {"domain": "square"}),
+    ("semigroup", {"t_grid": 5}),
+])
+def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
+                                                   command, bad):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FAST_CONFIG, **bad)))
+    assert run([command, "--config", str(path),
+                "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    key = next(iter(bad))
+    assert f"config error: config key {key!r} must be a JSON" \
+        in capsys.readouterr().err
+
+
+def test_lambda_grid_accepts_an_array(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FAST_CONFIG, lambda_grid=[1.0, 2.0])))
+    out = tmp_path / "r"
+    assert run(["spectrum", "--config", str(path), "--out", str(out),
+                "--quiet"]) == 0
+    rows = (out / "spectrum.csv").read_text().splitlines()[2:]
+    params = {row.split(",")[1] for row in rows if row.startswith("steklov")}
+    assert params == {"1.0", "2.0"}

@@ -196,6 +196,19 @@ def test_boundary_traces_unchanged_by_transport(mesh8):
     assert np.array_equal(moved.boundary_edges, mesh8.boundary_edges)
 
 
+@pytest.mark.parametrize("phi_factory", [bump_diffeo, twist_diffeo,
+                                         radial_bump_diffeo])
+def test_transport_matches_per_vertex_evaluation(phi_factory, mesh8):
+    # one array call through map_vertices moves each vertex exactly as
+    # evaluating the forward fields at that vertex alone does
+    phi = phi_factory()
+    moved = transport_mesh(mesh8, phi)
+    one_by_one = np.array([[f.eval_batch(np.array([x]), np.array([y]))[0]
+                            for f in phi.forward]
+                           for x, y in mesh8.vertices])
+    assert np.array_equal(moved.vertices, one_by_one)
+
+
 def test_mass_weight_compensates_jacobian():
     # weighted mass on the transported mesh approaches the plain mass
     # at second order under refinement

@@ -168,8 +168,8 @@ def test_collapsed_boundary_edge_rejected():
     # (0.5, 0) onto (0, 0) gives the boundary edge between them length 0
     m = build_structured_square(2)
     with pytest.raises(MeshInvariantError, match="nonpositive signed area"):
-        map_vertices(m, lambda x, y: (0.0, 0.0) if (x, y) == (0.5, 0.0)
-                     else (x, y))
+        map_vertices(m, lambda x, y: np.where((x == 0.5) & (y == 0.0),
+                                              0.0, (x, y)))
 
 
 def test_map_vertices_identity_keeps_everything():

@@ -8,6 +8,7 @@ import pytest
 
 from dtnlab.assemble import assemble
 from dtnlab.coeffs import CoefficientSet, ScalarField, certify
+from dtnlab.dtn import dtn_matrix
 from dtnlab.errors import HypothesisViolationError
 from dtnlab.mesh import (
     build_structured_square,
@@ -323,12 +324,16 @@ def test_order_hypotheses_reject_dirichlet_spectrum_at_or_below_zero(
         check_order_hypotheses(sys_)
 
 
-def test_comparison_reports_reject_different_lambda():
-    sys_a = square_system(n=4, gamma0_sides=("left",), lumped=True)
-    sg0, sg1 = build_semigroup(sys_a), build_semigroup(sys_a, lam=1.0)
-    for report in (domination_report, potential_monotonicity_report):
-        with pytest.raises(ValueError, match="different lambda"):
-            report(sg0, sg1, (0.5,), trials=2)
+@pytest.mark.parametrize("lam", [1.0, 7.5])
+def test_shifted_potential_gives_the_semigroup_at_lambda(lam):
+    # S(lambda) of a0 is S(0) of a0 - lambda when M carries no weight
+    sys_ = square_system(n=8, gamma0_sides=("left",), lumped=True)
+    shifted = square_system(n=8, gamma0_sides=("left",), lumped=True,
+                            coeffs=CoefficientSet.identity().shifted(-lam))
+    d = dtn_matrix(sys_, lam)
+    expected = spectral.sym_geneig(d.S, d.Bb, d.S.shape[0]).eigenvalues
+    np.testing.assert_allclose(build_semigroup(shifted).omega, expected,
+                               rtol=1e-12, atol=0)
 
 
 def test_lp_infinity_norm_matches_constant_input(sg_mixed):
