@@ -214,7 +214,7 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
         raise ValueError("sample_mesh must share the mesh topology")
     pts = quadrature_points(coeff_mesh)
     samples = _sample_fields(c, pts[..., 0], pts[..., 1])
-    eta, symmetric = _certificate(samples)
+    eta, symmetric = _certificate([samples])
     a_q, drift_q, codrift_q, a0_q = samples
 
     _, area, grads = _triangle_geometry(mesh)

@@ -80,7 +80,10 @@ DEFAULT_CONFIG = {
     "out": "results",
 }
 
-_ALSO_ALLOWED = {"lambda_grid": "array"}     # besides its default's kind
+# besides its default's kind; an expression may be written as a number
+_ALSO_ALLOWED = {"lambda_grid": "array", "coefficients.a0": "number"}
+_NUMBER_ARRAYS = {"lambda_grid", "mu_limit", "t_grid", "gauge.mu",
+                  "gauge.lambda"}
 # bool before number: bool subclasses int
 _JSON_KINDS = ((bool, "boolean"), ((int, float), "number"), (str, "string"),
                (dict, "object"), ((list, tuple), "array"))
@@ -91,11 +94,32 @@ def _json_kind(value):
                  if isinstance(value, types)), "null")
 
 
+def _check_kinds(config, defaults, prefix=""):
+    """ConfigError unless each key of config that has a default is of the
+    default's JSON kind, nested objects included."""
+    for key, default in defaults.items():
+        if key not in config:
+            continue
+        name, value = prefix + key, config[key]
+        kind = _json_kind(value)
+        if kind not in (_json_kind(default), _ALSO_ALLOWED.get(name)):
+            raise ConfigError(f"config key {name!r} must be a JSON "
+                              f"{_json_kind(default)}, not {kind}")
+        if kind == "object":
+            _check_kinds(value, default, name + ".")
+        elif name in _NUMBER_ARRAYS and kind == "array" and any(
+                _json_kind(v) != "number" for v in value):
+            raise ConfigError(f"config key {name!r} must be a JSON array "
+                              f"of numbers")
+
+
 def resolve_config(path=None, overrides=None):
     """Merge the built-in defaults, a config file and CLI overrides.
 
-    Raises ConfigError when a top-level value's JSON kind (object,
-    array, number, string, boolean) differs from its default's.
+    Raises ConfigError when a value's JSON kind (object, array, number,
+    string, boolean) differs from its default's, at the top level or
+    inside an object, or when a numeric array holds anything but numbers
+    (booleans are not numbers).
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -114,11 +138,7 @@ def resolve_config(path=None, overrides=None):
     for key, value in (overrides or {}).items():
         if value is not None:
             config[key] = value
-    for key, default in DEFAULT_CONFIG.items():
-        kind = _json_kind(config[key])
-        if kind not in (_json_kind(default), _ALSO_ALLOWED.get(key)):
-            raise ConfigError(f"config key {key!r} must be a JSON "
-                              f"{_json_kind(default)}, not {kind}")
+    _check_kinds(config, DEFAULT_CONFIG)
     return config
 
 

@@ -43,6 +43,9 @@ __all__ = [
 FD_STEP = 1e-6
 FD_RTOL = 1e-4
 
+# triangles per block of certify's samples; bounds its working memory
+_CERTIFY_BLOCK = 8192
+
 
 class ScalarField:
     """A point-evaluable real field on the plane.
@@ -164,7 +167,11 @@ def quadrature_points(mesh):
 
     With weights area/3 each the rule is exact for quadratics (order 2).
     """
-    v = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
+    return _edge_midpoints(mesh.vertices, mesh.triangles)
+
+
+def _edge_midpoints(vertices, triangles):
+    v = vertices[triangles]                    # (nt, 3, 2)
     return 0.5 * (v + np.roll(v, -1, axis=1))  # midpoints of edges 01,12,20
 
 
@@ -182,21 +189,31 @@ def _sample_fields(c: CoefficientSet, xs, ys):
     return a, drift, codrift, a0
 
 
-def _certificate(samples):
+def _certificate(blocks):
     """(eta, symmetric) of sampled fields; NonEllipticError when eta <= 0.
 
-    samples is the (a, drift, codrift, a0) tuple of _sample_fields.
+    blocks is an iterable of (a, drift, codrift, a0) tuples of
+    _sample_fields, each over a part of the quadrature nodes.  Each
+    block is reduced to its smallest eigenvalue, largest |a| and largest
+    asymmetries; eta is the minimum over all blocks, and the symmetry
+    tolerance is relative to the largest |a| over all blocks, so every
+    split of the nodes gives the bits of a single block.
     """
-    a, drift, codrift, _a0 = samples
-    s11 = a[0, 0]
-    s22 = a[1, 1]
-    s12 = 0.5 * (a[0, 1] + a[1, 0])
-    half_tr = 0.5 * (s11 + s22)
-    radius = np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 ** 2)
-    eta = float(np.min(half_tr - radius))
-    scale = 1.0 + float(np.max(np.abs(a)))
-    sym = (float(np.max(np.abs(a[0, 1] - a[1, 0]))) <= 1e-12 * scale
-           and float(np.max(np.abs(drift - codrift))) <= 1e-12 * scale)
+    etas, a_max, a_asym, drift_asym = [], [], [], []
+    for a, drift, codrift, _a0 in blocks:
+        s11 = a[0, 0]
+        s22 = a[1, 1]
+        s12 = 0.5 * (a[0, 1] + a[1, 0])
+        half_tr = 0.5 * (s11 + s22)
+        radius = np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 ** 2)
+        etas.append(np.min(half_tr - radius))
+        a_max.append(np.max(np.abs(a)))
+        a_asym.append(np.max(np.abs(a[0, 1] - a[1, 0])))
+        drift_asym.append(np.max(np.abs(drift - codrift)))
+    eta = float(np.min(etas))
+    scale = 1.0 + float(np.max(a_max))
+    sym = (float(np.max(a_asym)) <= 1e-12 * scale
+           and float(np.max(drift_asym)) <= 1e-12 * scale)
     if eta <= 0.0:
         raise NonEllipticError(
             f"symmetrized matrix coefficient has smallest eigenvalue "
@@ -210,10 +227,18 @@ def certify(c: CoefficientSet, mesh):
 
     Returns (eta, symmetric_flag) and leaves c unchanged.  eta is the
     minimum over samples of the smallest eigenvalue of the symmetrized
-    matrix part; raises NonEllipticError when eta <= 0.
+    matrix part; raises NonEllipticError when eta <= 0.  The fields are
+    sampled over blocks of _CERTIFY_BLOCK triangles, so only one block
+    of samples is held at a time.  The result is bit-identical to
+    sampling every node at once, and so is the QuadratureError of a
+    field that fails; when several fields fail, the one failing in the
+    earliest block is reported.
     """
-    pts = quadrature_points(mesh)
-    return _certificate(_sample_fields(c, pts[..., 0], pts[..., 1]))
+    tri = mesh.triangles
+    nodes = (_edge_midpoints(mesh.vertices, tri[lo:lo + _CERTIFY_BLOCK])
+             for lo in range(0, len(tri), _CERTIFY_BLOCK))
+    return _certificate(_sample_fields(c, pts[..., 0], pts[..., 1])
+                        for pts in nodes)
 
 
 @dataclass

@@ -11,8 +11,12 @@ constrained (closure convention).
 
 Edges are matched as integers: a directed edge (a, b) has the key
 a * nv + b and an undirected one lo * nv + hi, for nv vertices.
-Boundary extraction, refinement and check_mesh sort these keys and
-look them up with searchsorted, so no step walks the edges in Python.
+Boundary extraction sorts the directed keys of a new mesh once, and the
+mesh check reuses them; refinement sorts the undirected keys.  Lookups
+use searchsorted, so no step walks the edges in Python.  Directed keys
+are formed from the triangle columns and edges are recovered from them
+by divmod, so neither extraction nor the check builds a (3 nt, 2) array
+of all edges.
 """
 
 from __future__ import annotations
@@ -111,11 +115,8 @@ def _signed_areas(vertices, triangles):
                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def _directed_edges(triangles):
-    """All directed edges (3 per triangle) as an (3*nt, 2) array."""
-    return np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
+# the edges 01, 12 and 20 of a triangle, as pairs of columns
+_EDGE_ENDS = ((0, 1), (1, 2), (2, 0))
 
 
 def _check_indices(name, index, nv):
@@ -124,9 +125,15 @@ def _check_indices(name, index, nv):
         raise MeshInvariantError(f"{name} refer to vertices outside 0..{nv - 1}")
 
 
-def _directed_keys(edges, nv):
-    """One integer per directed edge (a, b): a * nv + b."""
-    return edges[:, 0] * nv + edges[:, 1]
+def _directed_keys(triangles, nv, reverse=False):
+    """Key a * nv + b of every directed edge (a, b) of the triangles.
+
+    The edges 01 of all triangles come first, then all 12, then all 20.
+    With reverse, the keys of the reversed edges (b, a), in that order.
+    """
+    return np.concatenate([triangles[:, j] * nv + triangles[:, i] if reverse
+                           else triangles[:, i] * nv + triangles[:, j]
+                           for i, j in _EDGE_ENDS])
 
 
 def _edge_keys(edges, nv):
@@ -153,22 +160,26 @@ def _contains(sorted_keys, queries):
 
 
 def _extract_boundary(triangles, nv):
-    """Directed boundary edges: those whose reverse does not occur.
+    """(boundary, keys): the directed boundary edges, those whose reverse
+    does not occur, and the sorted keys of all directed edges.
 
-    They come in the order of _directed_edges.
+    The edges come in the order of _directed_keys.
     """
     _check_indices("triangles", triangles, nv)
-    edges = _directed_edges(triangles)
-    keys, duplicated = _sorted_distinct(_directed_keys(edges, nv))
+    directed = _directed_keys(triangles, nv)
+    keys, duplicated = _sorted_distinct(directed)
     if duplicated:
         raise MeshInvariantError("duplicate directed edge (orientation defect)")
-    return edges[~_contains(keys, _directed_keys(edges[:, ::-1], nv))]
+    reverse = _directed_keys(triangles, nv, reverse=True)
+    outer = directed[~_contains(keys, reverse)]
+    return np.column_stack(divmod(outer, nv)), keys
 
 
 def _h_max(vertices, triangles):
-    edges = _directed_edges(triangles)
-    d = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    return float(np.max(np.linalg.norm(d, axis=1)))
+    """Longest triangle edge, measured one edge column at a time."""
+    return max(float(np.max(np.linalg.norm(
+        vertices[triangles[:, j]] - vertices[triangles[:, i]], axis=1)))
+        for i, j in _EDGE_ENDS)
 
 
 def _freeze(arr):
@@ -177,13 +188,14 @@ def _freeze(arr):
     return arr
 
 
-def _make_mesh(vertices, triangles, boundary_parent=None, boundary=None):
-    """Frozen, checked Mesh; boundary is _extract_boundary(triangles, nv)
+def _make_mesh(vertices, triangles, boundary_parent=None, extracted=None):
+    """Frozen, checked Mesh; extracted is _extract_boundary(triangles, nv)
     when the caller has already computed it."""
     vertices = np.asarray(vertices, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    if boundary is None:
-        boundary = _extract_boundary(triangles, len(vertices))
+    if extracted is None:
+        extracted = _extract_boundary(triangles, len(vertices))
+    boundary, keys = extracted
     mesh = Mesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
@@ -191,7 +203,7 @@ def _make_mesh(vertices, triangles, boundary_parent=None, boundary=None):
         h_max=_h_max(vertices, triangles),
         boundary_parent=None if boundary_parent is None else _freeze(boundary_parent),
     )
-    check_mesh(mesh)
+    _check_mesh(mesh, keys)
     return mesh
 
 
@@ -202,6 +214,12 @@ def check_mesh(mesh: Mesh) -> None:
     edge shared by exactly one (boundary) or two (interior) triangles
     with opposite orientation, and boundary edges forming closed loops.
     """
+    _check_mesh(mesh, None)
+
+
+def _check_mesh(mesh, keys):
+    """check_mesh, given the sorted distinct directed edge keys of the
+    triangles (from _extract_boundary), or None to sort them here."""
     nv = mesh.num_vertices
     _check_indices("triangles", mesh.triangles, nv)
     _check_indices("boundary edges", mesh.boundary_edges, nv)
@@ -211,19 +229,22 @@ def check_mesh(mesh: Mesh) -> None:
         raise MeshInvariantError(
             f"triangle {bad} has nonpositive signed area {areas[bad]:.3e}"
         )
-    edges = _directed_edges(mesh.triangles)
-    keys, duplicated = _sorted_distinct(_directed_keys(edges, nv))
-    if duplicated:
-        raise MeshInvariantError("duplicate directed edge (orientation defect)")
-    listed, _ = _sorted_distinct(_directed_keys(mesh.boundary_edges, nv))
-    has_reverse = _contains(keys, _directed_keys(edges[:, ::-1], nv))
-    is_listed = _contains(listed, _directed_keys(edges, nv))
+    directed = _directed_keys(mesh.triangles, nv)
+    if keys is None:
+        keys, duplicated = _sorted_distinct(directed)
+        if duplicated:
+            raise MeshInvariantError("duplicate directed edge (orientation defect)")
+    listed, _ = _sorted_distinct(mesh.boundary_edges[:, 0] * nv
+                                 + mesh.boundary_edges[:, 1])
+    has_reverse = _contains(keys, _directed_keys(mesh.triangles, nv,
+                                                 reverse=True))
+    is_listed = _contains(listed, directed)
     for bad, message in (
             (has_reverse & is_listed, "interior edge {} labeled boundary"),
             (~has_reverse & ~is_listed, "boundary edge {} missing from list")):
         if np.any(bad):
-            e = tuple(edges[np.argmax(bad)])
-            raise MeshInvariantError(message.format(e))
+            edge = divmod(int(directed[np.argmax(bad)]), nv)
+            raise MeshInvariantError(message.format(edge))
     # closed loops: each boundary vertex has exactly one in and one out edge
     out_deg = np.bincount(listed // nv, minlength=nv)
     in_deg = np.bincount(listed % nv, minlength=nv)
@@ -448,7 +469,7 @@ def refine(mesh: Mesh) -> Mesh:
     vertices = np.vstack([mesh.vertices,
                           0.5 * (mesh.vertices[new_ends[:, 0]]
                                  + mesh.vertices[new_ends[:, 1]])])
-    boundary = _extract_boundary(triangles, len(vertices))
+    boundary, directed_keys = _extract_boundary(triangles, len(vertices))
 
     # every refined boundary edge joins a midpoint to a parent vertex
     new_vertex = np.where(boundary[:, 0] >= nv, boundary[:, 0], boundary[:, 1])
@@ -461,7 +482,7 @@ def refine(mesh: Mesh) -> Mesh:
         raise MeshInvariantError("refined boundary edge has no parent")
     boundary_parent = by_key[np.searchsorted(parent_keys[by_key], split)]
     return _make_mesh(vertices, triangles, boundary_parent=boundary_parent,
-                      boundary=boundary)
+                      extracted=(boundary, directed_keys))
 
 
 def _partition_from_flags(mesh: Mesh, flags) -> BoundaryPartition:

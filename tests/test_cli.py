@@ -6,6 +6,7 @@ import pytest
 
 from dtnlab import __version__, semigroup
 from dtnlab.cli import DEFAULT_CONFIG, resolve_config, run
+from dtnlab.errors import ConfigError
 
 FAST_CONFIG = {
     "name": "tiny",
@@ -167,6 +168,10 @@ def test_bad_domain_type_exits_two(tmp_path):
     ("validate", {"gamma0": None}),
     ("validate", {"domain": "square"}),
     ("semigroup", {"t_grid": 5}),
+    ("gauge", {"gauge": {"base_n": None}}),
+    ("spectrum", {"lambda_grid": ["a"]}),
+    ("curves", {"mu_grid": {"min": "x"}}),
+    ("validate", {"domain": {"n": "big"}}),
 ])
 def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
                                                    command, bad):
@@ -174,9 +179,33 @@ def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
     path.write_text(json.dumps(dict(FAST_CONFIG, **bad)))
     assert run([command, "--config", str(path),
                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    key = next(iter(bad))
-    assert f"config error: config key {key!r} must be a JSON" \
+    keys, value = [], bad
+    while isinstance(value, dict):          # the dotted path of the bad value
+        key, value = next(iter(value.items()))
+        keys.append(key)
+    assert f"config error: config key {'.'.join(keys)!r} must be a JSON" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"t_grid": [0.1, True]},
+    {"gauge": {"mu": [0.0, "5"]}},
+    {"gauge": {"lambda": [None]}},
+    {"mu_limit": [[-100.0]]},
+])
+def test_numeric_array_must_hold_numbers(bad):
+    with pytest.raises(ConfigError, match="must be a JSON array of numbers"):
+        resolve_config(None, bad)
+
+
+def test_nested_kind_check_accepts_numbers_for_expressions(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        FAST_CONFIG, coefficients={"a0": 0}, lambda_grid=[1, 2.5],
+        gauge={"mu": [-1, 1], "diffeo": {"type": "twist", "alpha": 0.5}})))
+    config = resolve_config(str(path))
+    assert config["coefficients"]["a0"] == 0
+    assert config["gauge"]["base_n"] == DEFAULT_CONFIG["gauge"]["base_n"]
 
 
 def test_lambda_grid_accepts_an_array(tmp_path):

@@ -1,10 +1,13 @@
 """Coefficient certification, diffeomorphisms and pullback transport."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtnlab.coeffs as coeffs_module
 from dtnlab.assemble import assemble, transported_form_value
 from dtnlab.coeffs import (
     CoefficientSet,
@@ -21,8 +24,14 @@ from dtnlab.coeffs import (
     twist_diffeo,
     validate_diffeo,
 )
-from dtnlab.errors import NonEllipticError, SingularJacobianError
-from dtnlab.mesh import build_structured_square, partition_boundary
+from dtnlab.errors import NonEllipticError, QuadratureError, SingularJacobianError
+from dtnlab.mesh import (
+    build_polygon_mesh,
+    build_structured_square,
+    lshape_polygon,
+    partition_boundary,
+    regular_polygon,
+)
 
 from helpers import variable_coeffs
 
@@ -74,6 +83,84 @@ def test_certify_scaling_is_exact(s):
     )
     eta_scaled, _ = certify(scaled, mesh)
     assert eta_scaled == pytest.approx(s * eta_base, rel=1e-12)
+
+
+# certify samples blocks of triangles: every split gives the one-block bits
+
+
+_BLOCK_CASES = {
+    "square-variable": (lambda: build_structured_square(8), variable_coeffs,
+                        True),
+    "lshape": (lambda: build_polygon_mesh(lshape_polygon(), 0.2),
+               variable_coeffs, True),
+    "asymmetric": (lambda: build_structured_square(8),
+                   lambda: CoefficientSet.make(
+                       a=(("2 + x", "0.3*y"), ("-0.1", "1.5 + cos(5*x*y)")),
+                       drift=("x", "0"), codrift=("0", "x*y")),
+                   False),
+    # asymmetric by 5e-11, within 1e-12 * (1 + max|a|) only for the
+    # largest |a| (101, at x = 0), not for that of the blocks near x = 1
+    "near-symmetric": (lambda: build_structured_square(8),
+                       lambda: CoefficientSet.make(
+                           a=(("1 + 100*(1 - x)", "5e-11"), ("0", "1"))),
+                       True),
+}
+
+
+def _one_block_certificate(c, mesh):
+    """The certificate assemble computes: all nodes sampled at once."""
+    pts = quadrature_points(mesh)
+    return coeffs_module._certificate(
+        [coeffs_module._sample_fields(c, pts[..., 0], pts[..., 1])])
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+@pytest.mark.parametrize("block", [1, 7, 10**9])
+def test_certify_is_bit_identical_for_every_block_size(monkeypatch, case,
+                                                       block):
+    make_mesh, make_coeffs, symmetric = _BLOCK_CASES[case]
+    mesh, c = make_mesh(), make_coeffs()
+    eta, sym = _one_block_certificate(c, mesh)
+    assert sym is symmetric
+    monkeypatch.setattr(coeffs_module, "_CERTIFY_BLOCK", block)
+    got_eta, got_sym = certify(c, mesh)
+    assert got_eta.hex() == eta.hex()
+    assert got_sym is sym
+
+
+def test_certify_reports_the_global_eta_of_a_later_block(monkeypatch, mesh8):
+    # a11 = 0.1 - x: the first block of 7 triangles (x <= 1/8) already
+    # has eta = -0.025, but the global eta, -0.9, is at x = 1
+    c = CoefficientSet.make(a=(("0.1 - x", "0"), ("0", "1")))
+    monkeypatch.setattr(coeffs_module, "_CERTIFY_BLOCK", 7)
+    with pytest.raises(NonEllipticError,
+                       match=r"smallest eigenvalue -9\.000000e-01 <= 0"):
+        certify(c, mesh8)
+
+
+def test_certify_block_failing_late_raises_the_one_block_error(monkeypatch,
+                                                               mesh8):
+    c = CoefficientSet.make(a=(("1", "0"), ("0", "1 + sqrt(0.5 - x)")))
+    with pytest.raises(QuadratureError) as whole:
+        _one_block_certificate(c, mesh8)
+    for block in (1, 7):
+        monkeypatch.setattr(coeffs_module, "_CERTIFY_BLOCK", block)
+        with pytest.raises(QuadratureError) as blocked:
+            certify(c, mesh8)
+        assert str(blocked.value) == str(whole.value)
+    assert "sqrt" in str(whole.value)
+
+
+def test_certify_memory_stays_bounded_on_a_fine_mesh():
+    mesh = build_polygon_mesh(regular_polygon(64), 0.02)   # 65,536 triangles
+    c = variable_coeffs()
+    tracemalloc.start()
+    try:
+        certify(c, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_from_config_defaults(mesh8):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtnlab.errors import MeshInvariantError, PartitionError, PolygonError
-from dtnlab.mesh import _h_max
 from dtnlab.mesh import (
     build_polygon_mesh,
     build_structured_square,
@@ -210,9 +209,13 @@ def test_polygon_refinement_preserves_area(sides, extra_refines):
 # dict-based reference: the per-edge refinement the array code replaced --
 
 
-def _dict_extract_boundary(triangles):
-    edges = np.concatenate(
+def _dict_edges(triangles):
+    return np.concatenate(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+
+
+def _dict_extract_boundary(triangles):
+    edges = _dict_edges(triangles)
     edge_set = set(map(tuple, edges))
     assert len(edge_set) == len(edges)
     boundary = [e for e in map(tuple, edges) if (e[1], e[0]) not in edge_set]
@@ -261,7 +264,10 @@ def _assert_refined_like_reference(coarse, fine, times):
     assert np.array_equal(fine.triangles, triangles)
     assert np.array_equal(fine.boundary_edges, boundary)
     assert np.array_equal(fine.boundary_parent, parent)
-    assert fine.h_max == _h_max(vertices, triangles)
+    edges = _dict_edges(triangles)
+    lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]],
+                             axis=1)
+    assert fine.h_max.hex() == float(np.max(lengths)).hex()
 
 
 def test_refine_matches_dict_reference_square():
@@ -291,6 +297,18 @@ def test_refine_extracts_the_boundary_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_refine_sorts_the_directed_edge_keys_once(monkeypatch):
+    import dtnlab.mesh as mesh_module
+
+    coarse = build_structured_square(4)
+    sizes = []
+    real = mesh_module._sorted_distinct
+    monkeypatch.setattr(mesh_module, "_sorted_distinct",
+                        lambda keys: sizes.append(len(keys)) or real(keys))
+    fine = refine(coarse)
+    assert sizes.count(3 * fine.num_triangles) == 1
+
+
 # check_mesh: one corrupted field per failure branch ------------------------
 
 
@@ -310,14 +328,18 @@ def test_check_mesh_rejects_interior_edge_labeled_boundary():
     interior = next(e for e in edges if tuple(e) not in listed)
     bad = dataclasses.replace(
         m, boundary_edges=np.vstack([m.boundary_edges, interior]))
-    with pytest.raises(MeshInvariantError, match="labeled boundary"):
+    a, b = interior
+    with pytest.raises(MeshInvariantError,
+                       match=rf"^interior edge \({a}, {b}\) labeled boundary$"):
         check_mesh(bad)
 
 
 def test_check_mesh_rejects_missing_boundary_edge():
     m = build_structured_square(2)
     bad = dataclasses.replace(m, boundary_edges=m.boundary_edges[1:])
-    with pytest.raises(MeshInvariantError, match="missing from list"):
+    a, b = m.boundary_edges[0]
+    with pytest.raises(MeshInvariantError,
+                       match=rf"^boundary edge \({a}, {b}\) missing from list$"):
         check_mesh(bad)
 
 
