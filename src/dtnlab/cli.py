@@ -142,24 +142,35 @@ def resolve_config(path=None, overrides=None):
     return config
 
 
+def _built(key, build, *args):
+    """build(*args), with a ValueError or TypeError it raises turned into
+    a ConfigError naming the config key the arguments came from."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
 def build_domain(config):
     """Mesh plus the polygon (if any) the gamma0 selector may refer to."""
     dom = config["domain"]
     kind = dom.get("type")
     if kind == "square":
-        n = int(dom.get("n", 16))
-        return build_structured_square(n), None
+        return _built("domain.n", build_structured_square,
+                      int(dom.get("n", 16))), None
     if kind == "lshape":
         poly = lshape_polygon()
-        return build_polygon_mesh(poly, float(dom.get("h", 0.25))), poly
-    if kind == "regular_polygon":
-        poly = regular_polygon(int(dom.get("sides", 64)),
-                               float(dom.get("radius", 1.0)))
-        return build_polygon_mesh(poly, float(dom.get("h", 0.1))), poly
-    if kind == "polygon":
+        h = float(dom.get("h", 0.25))
+    elif kind == "regular_polygon":
+        poly = _built("domain.sides", regular_polygon,
+                      int(dom.get("sides", 64)), float(dom.get("radius", 1.0)))
+        h = float(dom.get("h", 0.1))
+    elif kind == "polygon":
         poly = np.asarray(dom["vertices"], dtype=float)
-        return build_polygon_mesh(poly, float(dom.get("h", 0.25))), poly
-    raise ConfigError(f"unknown domain type {kind!r}")
+        h = float(dom.get("h", 0.25))
+    else:
+        raise ConfigError(f"unknown domain type {kind!r}")
+    return _built("domain.h", build_polygon_mesh, poly, h), poly
 
 
 def build_selector(config, poly):
@@ -168,7 +179,8 @@ def build_selector(config, poly):
     if kind == "none":
         return lambda x, y: False
     if kind == "sides":
-        return square_side_selector(g0.get("sides", []))
+        return _built("gamma0.sides", square_side_selector,
+                      g0.get("sides", []))
     if kind == "polygon_edges":
         if poly is None:
             raise ConfigError("polygon_edges selector needs a polygon domain")
@@ -176,12 +188,21 @@ def build_selector(config, poly):
     raise ConfigError(f"unknown gamma0 selector type {kind!r}")
 
 
+def build_coefficients(config):
+    """The CoefficientSet of the coefficients block; an entry that is no
+    expression is a ConfigError naming its key."""
+    block = config["coefficients"]
+    for key, spec in block.items():
+        _built(f"coefficients.{key}", CoefficientSet.from_config,
+               {key: spec})
+    return CoefficientSet.from_config(block)
+
+
 def build_problem(config):
     """(mesh, poly, part, c): domain, gamma0 partition and coefficients."""
     mesh, poly = build_domain(config)
     part = partition_boundary(mesh, build_selector(config, poly))
-    c = CoefficientSet.from_config(config["coefficients"])
-    return mesh, poly, part, c
+    return mesh, poly, part, build_coefficients(config)
 
 
 def build_system(config):
@@ -404,12 +425,12 @@ def cmd_semigroup(config, rep: Reporter) -> bool:
 
 def cmd_gauge(config, rep: Reporter) -> bool:
     g = config["gauge"]
-    base = build_structured_square(int(g["base_n"]))
+    base = _built("gauge.base_n", build_structured_square, int(g["base_n"]))
     sel = build_selector(config, None) \
         if config["domain"]["type"] == "square" else (lambda x, y: False)
     part = partition_boundary(base, sel)
-    c = CoefficientSet.from_config(config["coefficients"])
-    phi = build_diffeo(g["diffeo"])
+    c = build_coefficients(config)
+    phi = _built("gauge.diffeo", build_diffeo, g["diffeo"])
     study = gauge_experiment(
         base, part, c, phi,
         refinements=int(g["refinements"]), k=int(g["k"]),

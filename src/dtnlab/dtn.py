@@ -14,9 +14,10 @@ computations consume; the explicit product Bb^{-1} S is never formed.
 A DtnMatrix is the one record of the operator at one lambda, and
 harmonic_extension, decompose and coercivity_report solve with its
 factor of C_II instead of factoring again.  C stays sparse, its
-coupling blocks C_BI and C_IB included: C_IB is made dense only as the
-right-hand side of the interior solve.  S and Bb (b x b, b the number
-of gamma1 dofs) are the only dense matrices formed.
+coupling blocks C_BI and C_IB included: the interior solve takes C_IB
+a fixed block of columns at a time, so no dense n_I x b array exists.
+S and Bb (b x b, b the number of gamma1 dofs) are the only dense
+matrices of full size formed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+_SOLVE_BLOCK = 16   # columns of C_IB per interior solve in dtn_matrix
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,10 @@ def dtn_matrix(sys: AssembledSystem, lam: float) -> DtnMatrix:
     """Schur complement of A - lambda*M over the interior dofs.
 
     S = C_BB - C_BI (C_II^{-1} C_IB) with C = A - lambda*M.  The coupling
-    blocks stay sparse: C_BI multiplies the dense solve C_II^{-1} C_IB
-    as a sparse matrix, so no BLAS product runs between sparse solves.
+    blocks stay sparse.  C_IB is solved against _SOLVE_BLOCK columns at
+    a time with the one factorization of C_II, and C_BI times each
+    n_I x _SOLVE_BLOCK solve is subtracted from the matching columns of
+    S, so no temporary is larger than n_I x _SOLVE_BLOCK besides S.
     Raises NearDirichletSpectrumError when C_II is singular or
     cond_interior exceeds COND_LIMIT.
     """
@@ -128,7 +132,10 @@ def dtn_matrix(sys: AssembledSystem, lam: float) -> DtnMatrix:
                 * float(spla.onenormest(op)))
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise NearDirichletSpectrumError(lam, cond)
-        S -= C[bd, :][:, idx] @ lu.solve(C[idx, :][:, bd].toarray())
+        C_BI, C_IB = C[bd, :][:, idx], C[idx, :][:, bd]
+        for j in range(0, len(bd), _SOLVE_BLOCK):
+            cols = slice(j, j + _SOLVE_BLOCK)
+            S[:, cols] -= C_BI @ lu.solve(C_IB[:, cols].toarray())
     Bb = sys.B[bd, :][:, bd].toarray()
     return DtnMatrix(sys=sys, lam=float(lam), C=C, S=S, Bb=Bb,
                      cond_interior=cond, lu=lu)

@@ -187,6 +187,28 @@ def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, bad, key", [
+    ("validate", {"domain": {"type": "square", "n": 0}}, "domain.n"),
+    ("validate", {"gamma0": {"type": "sides", "sides": ["up"]}},
+     "gamma0.sides"),
+    ("validate", {"coefficients": {"a": [[None, "0"], ["0", "1"]]}},
+     "coefficients.a"),
+    ("validate", {"domain": {"type": "lshape", "h": 0}}, "domain.h"),
+    ("validate", {"domain": {"type": "regular_polygon", "sides": 2}},
+     "domain.sides"),
+    ("gauge", {"gauge": {"base_n": 0}}, "gauge.base_n"),
+    ("gauge", {"gauge": {"diffeo": {"type": "radial_bump", "alpha": 1.5}}},
+     "gauge.diffeo"),
+])
+def test_config_value_out_of_range_exits_two(tmp_path, capsys, command, bad,
+                                             key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FAST_CONFIG, **bad)))
+    assert run([command, "--config", str(path),
+                "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config error: config key {key!r}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [
     {"t_grid": [0.1, True]},
     {"gauge": {"mu": [0.0, "5"]}},

@@ -1,9 +1,12 @@
 """Schur complements, harmonic extensions and boundary-form checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import dtnlab.dtn as dtn_module
 from dtnlab.assemble import assemble, robin_matrix
 from dtnlab.coeffs import CoefficientSet
 from dtnlab.dtn import (
@@ -14,6 +17,12 @@ from dtnlab.dtn import (
     harmonic_extension,
 )
 from dtnlab.errors import NearDirichletSpectrumError
+from dtnlab.mesh import (
+    build_polygon_mesh,
+    lshape_polygon,
+    partition_boundary,
+    polygon_edge_selector,
+)
 from dtnlab.spectral import dirichlet_spectrum, duality_check, steklov_spectrum
 
 from helpers import square_system, variable_coeffs
@@ -267,3 +276,56 @@ def test_coercivity_constants_bound_and_are_attained(neumann16):
     top = steklov_spectrum(neumann16, 0.0, b).eigenvectors[:, -1]
     assert rep.m == pytest.approx((top @ (d.S @ top)) / (top @ (SW @ top)),
                                   rel=1e-10)
+
+
+def _one_solve_schur(sys_, lam):
+    """C_BB - C_BI (C_II^{-1} C_IB) with all of C_IB solved at once."""
+    C = (sys_.A - lam * sys_.M).tocsc()
+    bd, idx = sys_.boundary_dofs, sys_.interior_dofs
+    lu = spla.splu(C[idx, :][:, idx])
+    return (C[bd, :][:, bd].toarray()
+            - C[bd, :][:, idx] @ lu.solve(C[idx, :][:, bd].toarray()))
+
+
+def _lshape_system():
+    poly = lshape_polygon()
+    mesh = build_polygon_mesh(poly, 0.25)
+    part = partition_boundary(mesh, polygon_edge_selector(poly, [0]))
+    return assemble(mesh, part, CoefficientSet.identity())
+
+
+@pytest.mark.parametrize("case, lam", [
+    ("square8-variable", 0.0),
+    ("square8-variable", 2.5),
+    ("lshape", 1.0),
+    ("square40", 0.0),
+    ("square40", 7.3),
+])
+@pytest.mark.parametrize("width", [1, 7, 10**9])
+def test_blocked_schur_matches_one_solve(monkeypatch, case, lam, width):
+    sys_ = {"square8-variable": lambda: square_system(
+                n=8, coeffs=variable_coeffs()),
+            "lshape": _lshape_system,
+            "square40": lambda: square_system(n=40)}[case]()
+    default = dtn_matrix(sys_, lam)
+    monkeypatch.setattr(dtn_module, "_SOLVE_BLOCK", width)
+    d = dtn_matrix(sys_, lam)
+    ref = _one_solve_schur(sys_, lam)
+    assert np.abs(d.S - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.abs(default.S - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert d.cond_interior == default.cond_interior
+
+
+def test_dtn_matrix_memory_stays_below_a_dense_coupling_block():
+    # square n = 40 with variable coefficients: n_I = 1,521, b = 119, so a
+    # dense C_IB alone would take 1.4 MiB
+    a = "1 + 0.5*sin(3*x)*cos(2*y)"
+    c = CoefficientSet.make(a=((a, "0"), ("0", a)), a0="1 + x*y")
+    sys_ = square_system(n=40, coeffs=c, lumped=True)
+    tracemalloc.start()
+    try:
+        dtn_matrix(sys_, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
