@@ -189,8 +189,8 @@ def build_selector(config, poly):
 
 
 def build_coefficients(config):
-    """The CoefficientSet of the coefficients block; an entry that is no
-    expression is a ConfigError naming its key."""
+    """The CoefficientSet of the coefficients block; an entry that is not
+    an expression is a ConfigError naming its key."""
     block = config["coefficients"]
     for key, spec in block.items():
         _built(f"coefficients.{key}", CoefficientSet.from_config,
