@@ -113,13 +113,42 @@ def _check_kinds(config, defaults, prefix=""):
                               f"of numbers")
 
 
+# (dotted key, test, requirement): values of the right JSON kind that a
+# run still cannot use, or that would leave a PASS line nothing to check
+_RANGES = (
+    ("k", lambda v: v >= 1, "at least 1"),
+    ("trials", lambda v: v >= 1, "at least 1"),
+    ("lambda_grid", lambda v: isinstance(v, dict) or len(v) > 0,
+     "a nonempty array"),
+    ("lambda_grid.gaps", lambda v: v >= 1, "at least 1"),
+    ("mu_grid.steps", lambda v: v >= 2, "at least 2"),
+    ("mu_limit", lambda v: len(v) >= 2 and v[0] < 0
+     and all(b < a for a, b in zip(v, v[1:])),
+     "at least two strictly decreasing negative numbers"),
+    ("t_grid", lambda v: len(v) > 0 and min(v) >= 0,
+     "a nonempty array of nonnegative numbers"),
+    ("gauge.refinements", lambda v: v >= 1, "at least 1"),
+    ("gauge.k", lambda v: v >= 1, "at least 1"),
+)
+
+
+def _check_ranges(config):
+    for name, test, requirement in _RANGES:
+        value = config
+        for key in name.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if value is not None and not test(value):
+            raise ConfigError(f"config key {name!r}: must be {requirement}")
+
+
 def resolve_config(path=None, overrides=None):
     """Merge the built-in defaults, a config file and CLI overrides.
 
     Raises ConfigError when a value's JSON kind (object, array, number,
     string, boolean) differs from its default's, at the top level or
-    inside an object, or when a numeric array holds anything but numbers
-    (booleans are not numbers).
+    inside an object, when a numeric array holds anything but numbers
+    (booleans are not numbers), or when a value is out of the range in
+    _RANGES.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -139,6 +168,7 @@ def resolve_config(path=None, overrides=None):
         if value is not None:
             config[key] = value
     _check_kinds(config, DEFAULT_CONFIG)
+    _check_ranges(config)
     return config
 
 
@@ -210,21 +240,18 @@ def build_system(config):
     return assemble(mesh, part, c)
 
 
+_DIFFEOS = {"radial_bump": radial_bump_diffeo, "bump": bump_diffeo,
+            "twist": twist_diffeo}
+
+
 def build_diffeo(block):
-    kind = block.get("type", "radial_bump")
-    if kind == "radial_bump":
-        return radial_bump_diffeo(alpha=float(block.get("alpha", 0.35)),
-                                  radius=float(block.get("radius", 0.45)),
-                                  center=tuple(block.get("center", (0.5, 0.5))))
-    if kind == "bump":
-        return bump_diffeo(alpha=float(block.get("alpha", 0.12)),
-                           c1=float(block.get("c1", 1.0)),
-                           c2=float(block.get("c2", -0.7)))
-    if kind == "twist":
-        return twist_diffeo(alpha=float(block.get("alpha", 0.8)),
-                            radius=float(block.get("radius", 0.45)),
-                            center=tuple(block.get("center", (0.5, 0.5))))
-    raise ConfigError(f"unknown diffeo type {kind!r}")
+    """The map of a gauge.diffeo block: "type" (default radial_bump) names
+    the factory, and every other key is passed to it as a parameter."""
+    params = dict(block)
+    kind = params.pop("type", "radial_bump")
+    if kind not in _DIFFEOS:
+        raise ConfigError(f"unknown diffeo type {kind!r}")
+    return _DIFFEOS[kind](**params)
 
 
 def lambda_values(config, sys):

@@ -14,7 +14,8 @@ it was computed on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "Diffeo",
     "certify",
     "pullback",
-    "transport_mesh",
     "quadrature_points",
     "bump_diffeo",
     "twist_diffeo",
@@ -51,48 +51,31 @@ class ScalarField:
     """A point-evaluable real field on the plane.
 
     Wraps a constant, an expression string/tree, or a numpy array
-    function f(xs, ys).  An expression is compiled once, here, into a
-    numpy closure (exprlang.compile_expr) that eval_batch calls.
+    function f(xs, ys) as one array function that eval_batch calls; an
+    expression is compiled once, here (exprlang.compile_expr).  _kind
+    ("const", "expr" or "vfn") records which of the three it was.
     """
 
     def __init__(self, spec):
         if isinstance(spec, ScalarField):
-            self._kind = spec._kind
-            self._payload = spec._payload
-            self._batch = spec._batch
-            return
-        if isinstance(spec, (int, float)):
+            self._kind, self._batch = spec._kind, spec._batch
+        elif isinstance(spec, (int, float)):
+            value = float(spec)
             self._kind = "const"
-            self._payload = float(spec)
-            self._batch = None
-        elif isinstance(spec, (str, exprlang.Num, exprlang.Var, exprlang.Neg,
-                               exprlang.BinOp, exprlang.Call)):
+            self._batch = lambda xs, ys: np.full(xs.shape, value)
+        elif isinstance(spec, (str, exprlang.Expr)):
             self._kind = "expr"
-            self._payload = (exprlang.parse_expr(spec) if isinstance(spec, str)
-                             else spec)
-            self._batch = exprlang.compile_expr(self._payload)
+            self._batch = exprlang.compile_expr(
+                exprlang.parse_expr(spec) if isinstance(spec, str) else spec)
         elif callable(spec):
-            self._kind = "vfn"
-            self._payload = self._batch = spec
+            self._kind, self._batch = "vfn", spec
         else:
             raise TypeError(f"cannot build a scalar field from {spec!r}")
-
-    @property
-    def is_constant(self):
-        return self._kind == "const"
-
-    @property
-    def constant_value(self):
-        if self._kind != "const":
-            raise ValueError("field is not constant")
-        return self._payload
 
     def eval_batch(self, xs, ys):
         """Evaluate at arrays of points; returns a float array."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if self._kind == "const":
-            return np.full(xs.shape, self._payload)
         return np.asarray(self._batch(xs, ys), dtype=float)
 
 
@@ -152,14 +135,9 @@ class CoefficientSet:
 
     def shifted(self, delta: float) -> "CoefficientSet":
         """Same set with the potential shifted by a constant."""
-        if self.a0.is_constant:
-            a0 = ScalarField(self.a0.constant_value + delta)
-        else:
-            base = self.a0
-            a0 = ScalarField(
-                lambda xs, ys, _b=base, _d=delta: _b.eval_batch(xs, ys) + _d)
-        return CoefficientSet(a=self.a, drift=self.drift,
-                              codrift=self.codrift, a0=a0)
+        base = self.a0
+        return replace(self, a0=ScalarField(
+            lambda xs, ys: base.eval_batch(xs, ys) + delta))
 
 
 def quadrature_points(mesh):
@@ -245,14 +223,16 @@ def certify(c: CoefficientSet, mesh):
 class Diffeo:
     """A planar map with an explicitly supplied Jacobian.
 
-    forward: pair of ScalarField, jacobian: 2x2 of ScalarField (entry
-    [i][j] is the derivative of component i with respect to variable j).
-    The map must be the identity on the boundary of the domain it is
-    used on; validate_diffeo checks that on a mesh.
+    forward(xs, ys) returns the mapped coordinates (xs', ys'), and
+    jacobian(xs, ys) the Jacobian matrices, shape (..., 2, 2), whose
+    entry [..., i, j] is the derivative of component i with respect to
+    variable j; both take float arrays of one shape.  The map must be
+    the identity on the boundary of the domain it is used on;
+    validate_diffeo checks that, and the Jacobian, on a mesh.
     """
 
-    forward: tuple
-    jacobian: tuple
+    forward: Callable
+    jacobian: Callable
 
     def jacobian_batch(self, xs, ys):
         """Jacobian matrices and determinants at arrays of points.
@@ -260,11 +240,8 @@ class Diffeo:
         Returns (J, det) with shapes (..., 2, 2) and (...).  Raises
         SingularJacobianError if any determinant is <= 0.
         """
-        J = np.stack([
-            np.stack([self.jacobian[i][j].eval_batch(xs, ys)
-                      for j in range(2)], axis=-1)
-            for i in range(2)
-        ], axis=-2)
+        J = self.jacobian(np.asarray(xs, dtype=float),
+                          np.asarray(ys, dtype=float))
         det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
         if np.any(det <= 0):
             raise SingularJacobianError(
@@ -275,9 +252,8 @@ class Diffeo:
 
 def identity_diffeo() -> Diffeo:
     return Diffeo(
-        forward=(ScalarField("x"), ScalarField("y")),
-        jacobian=((ScalarField(1.0), ScalarField(0.0)),
-                  (ScalarField(0.0), ScalarField(1.0))),
+        forward=lambda xs, ys: (xs, ys),
+        jacobian=lambda xs, ys: np.broadcast_to(np.eye(2), xs.shape + (2, 2)),
     )
 
 
@@ -291,30 +267,24 @@ def bump_diffeo(alpha=0.12, c1=1.0, c2=-0.7) -> Diffeo:
     if alpha * np.pi * (abs(c1) + abs(c2)) >= 1.0:
         raise ValueError("bump too strong; the map would fold")
     pi = np.pi
+    a1, a2 = alpha * c1, alpha * c2
 
-    def fwd_x(x, y):
-        return x + alpha * c1 * np.sin(pi * x) * np.sin(pi * y)
+    def forward(x, y):
+        sx, sy = np.sin(pi * x), np.sin(pi * y)
+        return x + a1 * sx * sy, y + a2 * sx * sy
 
-    def fwd_y(x, y):
-        return y + alpha * c2 * np.sin(pi * x) * np.sin(pi * y)
+    # DPhi[i, j] = delta_ij + alpha c_i pi f_j(x) h_j(y), with
+    # f = (cos, sin)(pi x) and h = (sin, cos)(pi y)
+    def jacobian(x, y):
+        f = np.stack([np.cos(pi * x), np.sin(pi * x)], axis=-1)
+        h = np.stack([np.sin(pi * y), np.cos(pi * y)], axis=-1)
+        k = np.array([[a1 * pi], [a2 * pi]])
+        J = k * f[..., None, :] * h[..., None, :]
+        J[..., 0, 0] += 1.0
+        J[..., 1, 1] += 1.0
+        return J
 
-    def j11(x, y):
-        return 1.0 + alpha * c1 * pi * np.cos(pi * x) * np.sin(pi * y)
-
-    def j12(x, y):
-        return alpha * c1 * pi * np.sin(pi * x) * np.cos(pi * y)
-
-    def j21(x, y):
-        return alpha * c2 * pi * np.cos(pi * x) * np.sin(pi * y)
-
-    def j22(x, y):
-        return 1.0 + alpha * c2 * pi * np.sin(pi * x) * np.cos(pi * y)
-
-    return Diffeo(
-        forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
-        jacobian=((ScalarField(j11), ScalarField(j12)),
-                  (ScalarField(j21), ScalarField(j22))),
-    )
+    return Diffeo(forward, jacobian)
 
 
 def radial_bump_diffeo(alpha=0.35, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
@@ -331,43 +301,26 @@ def radial_bump_diffeo(alpha=0.35, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
     cx, cy = center
     R2 = radius * radius
 
-    def w(s):
-        t = np.clip(1.0 - s / R2, 0.0, None)
-        return t * t
-
-    def dw(s):
-        t = np.clip(1.0 - s / R2, 0.0, None)
-        return -2.0 * t / R2
-
     def parts(x, y):
-        u0 = np.asarray(x, float) - cx
-        u1 = np.asarray(y, float) - cy
-        s = u0 * u0 + u1 * u1
-        return u0, u1, s
+        """u = p - center, s = |u|^2, t = max(1 - s/R^2, 0), alpha*w(s)."""
+        u = np.stack([np.asarray(x, float) - cx, np.asarray(y, float) - cy],
+                     axis=-1)
+        s = u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1]
+        t = np.clip(1.0 - s / R2, 0.0, None)
+        return u, s, t, alpha * (t * t)
 
-    def fwd_x(x, y):
-        u0, _u1, s = parts(x, y)
-        return x + alpha * w(s) * u0
+    def forward(x, y):
+        u, _s, _t, aw = parts(x, y)
+        return x + aw * u[..., 0], y + aw * u[..., 1]
 
-    def fwd_y(x, y):
-        _u0, u1, s = parts(x, y)
-        return y + alpha * w(s) * u1
+    # DPhi = (1 + alpha*w) I + 2*alpha*w'(s) u u^T
+    def jacobian(x, y):
+        u, s, t, aw = parts(x, y)
+        g = 2.0 * alpha * np.where(s < R2, -2.0 * t / R2, 0.0)
+        return ((1.0 + aw)[..., None, None] * np.eye(2)
+                + g[..., None, None] * u[..., :, None] * u[..., None, :])
 
-    # DPhi = (1 + alpha*w) I + 2*alpha*dw * u u^T
-    def jac(i, j):
-        def entry(x, y):
-            u0, u1, s = parts(x, y)
-            u = (u0, u1)
-            base = (1.0 + alpha * w(s)) if i == j else 0.0
-            inside = s < R2
-            dws = np.where(inside, dw(np.where(inside, s, R2)), 0.0)
-            return base + 2.0 * alpha * dws * u[i] * u[j]
-        return ScalarField(entry)
-
-    return Diffeo(
-        forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
-        jacobian=((jac(0, 0), jac(0, 1)), (jac(1, 0), jac(1, 1))),
-    )
+    return Diffeo(forward, jacobian)
 
 
 def twist_diffeo(alpha=0.8, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
@@ -379,67 +332,51 @@ def twist_diffeo(alpha=0.8, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
     cx, cy = center
     R2 = radius * radius
 
-    def theta(s):                      # s = r^2
-        t = np.clip(1.0 - s / R2, 0.0, None)
-        return alpha * t * t
-
-    def dtheta(s):
-        t = np.clip(1.0 - s / R2, 0.0, None)
-        return -2.0 * alpha * t / R2
-
     def parts(x, y):
-        u = np.stack([np.asarray(x, float) - cx, np.asarray(y, float) - cy])
-        s = u[0] ** 2 + u[1] ** 2
-        th = theta(s)
-        c, sn = np.cos(th), np.sin(th)
-        return u, s, th, c, sn
+        """u, s = |u|^2, t = max(1 - s/R^2, 0), cos and sin of theta."""
+        u = np.stack([np.asarray(x, float) - cx, np.asarray(y, float) - cy],
+                     axis=-1)
+        s = u[..., 0] ** 2 + u[..., 1] ** 2
+        t = np.clip(1.0 - s / R2, 0.0, None)
+        theta = alpha * t * t
+        return u, s, t, np.cos(theta), np.sin(theta)
 
-    def fwd_x(x, y):
-        u, _s, _th, c, sn = parts(x, y)
-        return cx + c * u[0] - sn * u[1]
+    def forward(x, y):
+        u, _s, _t, c, sn = parts(x, y)
+        return (cx + c * u[..., 0] - sn * u[..., 1],
+                cy + sn * u[..., 0] + c * u[..., 1])
 
-    def fwd_y(x, y):
-        u, _s, _th, c, sn = parts(x, y)
-        return cy + sn * u[0] + c * u[1]
+    # DPhi = R(theta) + theta'(s) * (J R u) (2 u)^T, with J the quarter turn
+    def jacobian(x, y):
+        u, s, t, c, sn = parts(x, y)
+        dtheta = np.where(s < R2, -2.0 * alpha * t / R2, 0.0)
+        R = np.stack([np.stack([c, -sn], axis=-1),
+                      np.stack([sn, c], axis=-1)], axis=-2)
+        JRu = np.stack([-(sn * u[..., 0] + c * u[..., 1]),
+                        c * u[..., 0] - sn * u[..., 1]], axis=-1)
+        return R + ((2.0 * dtheta)[..., None, None] * JRu[..., :, None]
+                    * u[..., None, :])
 
-    # DPhi = R(theta) + dtheta/ds * (J R u) (2 u)^T, with J the quarter turn
-    def jac(i, j):
-        def entry(x, y):
-            u, s, _th, c, sn = parts(x, y)
-            inside = s < R2
-            dth = np.where(inside, dtheta(np.where(inside, s, R2)), 0.0)
-            R = np.stack([np.stack([c, -sn]), np.stack([sn, c])])
-            JRu = np.stack([-(sn * u[0] + c * u[1]), c * u[0] - sn * u[1]])
-            return R[i, j] + 2.0 * dth * JRu[i] * u[j]
-        return ScalarField(entry)
-
-    return Diffeo(
-        forward=(ScalarField(fwd_x), ScalarField(fwd_y)),
-        jacobian=((jac(0, 0), jac(0, 1)), (jac(1, 0), jac(1, 1))),
-    )
+    return Diffeo(forward, jacobian)
 
 
 def validate_diffeo(phi: Diffeo, mesh):
-    """Check a diffeomorphism against a mesh.
+    """Check a diffeomorphism against a mesh; returns the smallest det.
 
-    Verifies det > 0 at quadrature nodes, that the map fixes the
-    boundary vertices and edge midpoints, and the declared Jacobian
-    against central finite differences (step FD_STEP, relative
-    tolerance FD_RTOL) at a sample of nodes.
+    Verifies det > 0 at the quadrature nodes, that phi.forward fixes the
+    boundary vertices and edge midpoints, and phi.jacobian against
+    central finite differences of phi.forward (step FD_STEP, relative
+    tolerance FD_RTOL) at a sample of nodes.  Raises
+    SingularJacobianError at the first check that fails.
     """
     pts = quadrature_points(mesh)
     xs, ys = pts[..., 0], pts[..., 1]
     J, det = phi.jacobian_batch(xs, ys)
-    bv = mesh.boundary_vertices()
-    bx = mesh.vertices[bv, 0]
-    by = mesh.vertices[bv, 1]
-    mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
-                  + mesh.vertices[mesh.boundary_edges[:, 1]])
-    for px, py in [(bx, by), (mids[:, 0], mids[:, 1])]:
-        fx = phi.forward[0].eval_batch(px, py)
-        fy = phi.forward[1].eval_batch(px, py)
-        shift = max(float(np.max(np.abs(fx - px))),
-                    float(np.max(np.abs(fy - py))))
+    v = mesh.vertices
+    mids = 0.5 * (v[mesh.boundary_edges[:, 0]] + v[mesh.boundary_edges[:, 1]])
+    for p in (v[mesh.boundary_vertices()], mids):
+        moved = np.column_stack(phi.forward(p[:, 0], p[:, 1]))
+        shift = float(np.max(np.abs(moved - p)))
         if shift > 1e-10:
             raise SingularJacobianError(
                 f"map must fix the boundary but moves it by {shift:.3e}")
@@ -448,19 +385,19 @@ def validate_diffeo(phi: Diffeo, mesh):
     sx = xs.ravel()[sel]
     sy = ys.ravel()[sel]
     h = FD_STEP
-    for i in range(2):
-        f = phi.forward[i]
-        dfdx = (f.eval_batch(sx + h, sy) - f.eval_batch(sx - h, sy)) / (2 * h)
-        dfdy = (f.eval_batch(sx, sy + h) - f.eval_batch(sx, sy - h)) / (2 * h)
-        declared_x = phi.jacobian[i][0].eval_batch(sx, sy)
-        declared_y = phi.jacobian[i][1].eval_batch(sx, sy)
-        err = max(float(np.max(np.abs(dfdx - declared_x))),
-                  float(np.max(np.abs(dfdy - declared_y))))
-        if err > FD_RTOL * (1.0 + float(np.max(np.abs(J)))):
-            raise SingularJacobianError(
-                f"declared Jacobian disagrees with finite differences "
-                f"(max error {err:.3e})"
-            )
+
+    def forward(px, py):
+        return np.column_stack(phi.forward(px, py))
+
+    fd = np.stack([forward(sx + h, sy) - forward(sx - h, sy),
+                   forward(sx, sy + h) - forward(sx, sy - h)],
+                  axis=-1) / (2 * h)
+    err = float(np.max(np.abs(fd - phi.jacobian(sx, sy))))
+    if err > FD_RTOL * (1.0 + float(np.max(np.abs(J)))):
+        raise SingularJacobianError(
+            f"declared Jacobian disagrees with finite differences "
+            f"(max error {err:.3e})"
+        )
     return float(np.min(det))
 
 
@@ -476,10 +413,10 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
         potential a0 / det
 
     Sampling these at reference quadrature nodes while assembling on
-    the transported mesh (transport_mesh) realizes the transported
-    problem; the associated weak forms coincide with the original ones
-    up to quadrature error, which is what makes the two discrete
-    operators comparable in gauge experiments.
+    the transported mesh (mesh.map_vertices(mesh, phi.forward)) realizes
+    the transported problem; the associated weak forms coincide with the
+    original ones up to quadrature error, which is what makes the two
+    discrete operators comparable in gauge experiments.
     """
     def matrix_entry(i, j):
         def entry(xs, ys):
@@ -511,15 +448,6 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
         codrift=tuple(vector_entry(c.codrift, i) for i in range(2)),
         a0=ScalarField(potential),
     )
-
-
-def transport_mesh(mesh, phi: Diffeo):
-    """Move mesh vertices through the map (topology and labels kept)."""
-    from .mesh import map_vertices
-
-    fx, fy = phi.forward
-    return map_vertices(mesh, lambda xs, ys: (fx.eval_batch(xs, ys),
-                                              fy.eval_batch(xs, ys)))
 
 
 def mass_weight(phi: Diffeo) -> ScalarField:

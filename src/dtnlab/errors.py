@@ -43,7 +43,8 @@ class NonEllipticError(DtnLabError):
 
 
 class SingularJacobianError(DtnLabError):
-    """A diffeomorphism Jacobian has nonpositive determinant at a sample."""
+    """A diffeomorphism folds (Jacobian determinant <= 0 at a sample),
+    moves the boundary, or disagrees with its declared Jacobian."""
 
 
 class QuadratureError(DtnLabError):

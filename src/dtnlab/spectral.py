@@ -20,14 +20,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import AssembledSystem, assemble, dirichlet_system, robin_matrix
-from .coeffs import CoefficientSet, Diffeo, mass_weight, pullback, transport_mesh
+from .coeffs import (
+    CoefficientSet,
+    Diffeo,
+    mass_weight,
+    pullback,
+    validate_diffeo,
+)
 from .dtn import dtn_matrix, harmonic_extension
 from .errors import (
     EmptyInteriorError,
     NotPositiveDefiniteError,
     SolverError,
 )
-from .mesh import refine, refine_partition
+from .mesh import map_vertices, refine, refine_partition
 from .util import parallel_map
 
 __all__ = [
@@ -742,15 +748,19 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     and the worst Robin eigenvalue gap over mu_list are tabulated; both
     shrink under refinement since the two discretizations share their
     continuum limit.  Also reports the conjugation residual of the
-    intertwiner built from two identical inputs as a baseline.  Raises
-    ValueError when the coefficient samples on a level mesh are not
-    symmetric (the transport needs a symmetric set).
+    intertwiner built from two identical inputs as a baseline.  Before
+    anything is assembled, validate_diffeo checks phi on the finest
+    mesh (SingularJacobianError when it moves the boundary, folds or
+    disagrees with its Jacobian).  Raises ValueError when the
+    coefficient samples on a level mesh are not symmetric (the
+    transport needs a symmetric set).
     """
     meshes = [mesh0]
     parts = [part0]
     for _ in range(refinements):
         meshes.append(refine(meshes[-1]))
         parts.append(refine_partition(parts[-1], meshes[-1]))
+    validate_diffeo(phi, meshes[-1])
 
     h_list, defects, max_gaps = [], [], []
     identity_residual = None
@@ -758,7 +768,7 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
         sysA = assemble(mesh_i, part_i, c)
         if not sysA.symmetric:
             raise ValueError("pullback requires a symmetric coefficient set")
-        mesh_t = transport_mesh(mesh_i, phi)
+        mesh_t = map_vertices(mesh_i, phi.forward)
         b = pullback(c, phi)
         sysB = assemble(mesh_t, part_i, b, sample_mesh=mesh_i,
                         mass_weight=mass_weight(phi))

@@ -199,6 +199,13 @@ def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
     ("gauge", {"gauge": {"base_n": 0}}, "gauge.base_n"),
     ("gauge", {"gauge": {"diffeo": {"type": "radial_bump", "alpha": 1.5}}},
      "gauge.diffeo"),
+    ("gauge", {"gauge": {"diffeo": {"type": "twist", "alhpa": 5.0}}},
+     "gauge.diffeo"),
+    ("spectrum", {"k": 0}, "k"),
+    ("gauge", {"gauge": {"k": 0}}, "gauge.k"),
+    ("curves", {"mu_grid": {"steps": 1}}, "mu_grid.steps"),
+    ("limit", {"mu_limit": [1.0]}, "mu_limit"),
+    ("semigroup", {"t_grid": [-1.0]}, "t_grid"),
 ])
 def test_config_value_out_of_range_exits_two(tmp_path, capsys, command, bad,
                                              key):
@@ -207,6 +214,39 @@ def test_config_value_out_of_range_exits_two(tmp_path, capsys, command, bad,
     assert run([command, "--config", str(path),
                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config error: config key {key!r}: " in capsys.readouterr().err
+
+
+# each would leave a PASS line with nothing to check
+@pytest.mark.parametrize("command, bad, key", [
+    ("gauge", {"gauge": {"refinements": 0}}, "gauge.refinements"),
+    ("gauge", {"gauge": {"refinements": -1}}, "gauge.refinements"),
+    ("limit", {"mu_limit": [-100.0]}, "mu_limit"),
+    ("semigroup", {"trials": 0}, "trials"),
+    ("semigroup", {"t_grid": []}, "t_grid"),
+    ("duality", {"lambda_grid": []}, "lambda_grid"),
+    ("duality", {"lambda_grid": {"gaps": 0}}, "lambda_grid.gaps"),
+])
+def test_config_that_empties_a_check_exits_two(tmp_path, capsys, command,
+                                               bad, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FAST_CONFIG, **bad)))
+    assert run([command, "--config", str(path),
+                "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: config key {key!r}: " in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_gauge_rejects_a_map_that_moves_the_boundary(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        FAST_CONFIG, domain={"type": "square", "n": 8},
+        gauge={"diffeo": {"type": "radial_bump", "radius": 0.8}})))
+    assert run(["gauge", "--config", str(path),
+                "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert "map must fix the boundary" in captured.err
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("bad", [

@@ -20,7 +20,6 @@ from dtnlab.coeffs import (
     pullback,
     quadrature_points,
     radial_bump_diffeo,
-    transport_mesh,
     twist_diffeo,
     validate_diffeo,
 )
@@ -29,6 +28,7 @@ from dtnlab.mesh import (
     build_polygon_mesh,
     build_structured_square,
     lshape_polygon,
+    map_vertices,
     partition_boundary,
     regular_polygon,
 )
@@ -179,6 +179,15 @@ def test_from_config_expressions(mesh8):
     assert sym  # codrift defaults to drift
 
 
+@pytest.mark.parametrize("delta", [0.1, 1.0 / 3.0, -5.0])
+def test_shifted_constant_potential_is_bit_identical(mesh8, delta):
+    pts = quadrature_points(mesh8)
+    xs, ys = pts[..., 0], pts[..., 1]
+    got = CoefficientSet.make(a0=2.7).shifted(delta).a0.eval_batch(xs, ys)
+    want = CoefficientSet.make(a0=2.7 + delta).a0.eval_batch(xs, ys)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_identity_diffeo_pullback_is_identity(mesh8):
     c = variable_coeffs()
     certify(c, mesh8)
@@ -222,7 +231,7 @@ def test_validate_rejects_wrong_jacobian(mesh8):
 
 def test_validate_rejects_boundary_moving_map(mesh8):
     shift = Diffeo(
-        forward=(ScalarField("x + 0.1"), ScalarField("y")),
+        forward=lambda xs, ys: (xs + 0.1, ys),
         jacobian=identity_diffeo().jacobian,
     )
     with pytest.raises(SingularJacobianError):
@@ -231,9 +240,9 @@ def test_validate_rejects_boundary_moving_map(mesh8):
 
 def test_jacobian_fold_rejected(mesh8):
     folded = Diffeo(
-        forward=(ScalarField("x"), ScalarField("y")),
-        jacobian=((ScalarField(-1.0), ScalarField(0.0)),
-                  (ScalarField(0.0), ScalarField(1.0))),
+        forward=lambda xs, ys: (xs, ys),
+        jacobian=lambda xs, ys: np.broadcast_to(np.diag([-1.0, 1.0]),
+                                                xs.shape + (2, 2)),
     )
     pts = quadrature_points(mesh8)
     with pytest.raises(SingularJacobianError):
@@ -276,7 +285,7 @@ def test_weak_form_transport_identity(phi_factory, mesh8):
 
 def test_boundary_traces_unchanged_by_transport(mesh8):
     phi = bump_diffeo()
-    moved = transport_mesh(mesh8, phi)
+    moved = map_vertices(mesh8, phi.forward)
     bv = mesh8.boundary_vertices()
     np.testing.assert_allclose(moved.vertices[bv], mesh8.vertices[bv],
                                atol=1e-15)
@@ -287,11 +296,11 @@ def test_boundary_traces_unchanged_by_transport(mesh8):
                                          radial_bump_diffeo])
 def test_transport_matches_per_vertex_evaluation(phi_factory, mesh8):
     # one array call through map_vertices moves each vertex exactly as
-    # evaluating the forward fields at that vertex alone does
+    # evaluating the forward map at that vertex alone does
     phi = phi_factory()
-    moved = transport_mesh(mesh8, phi)
-    one_by_one = np.array([[f.eval_batch(np.array([x]), np.array([y]))[0]
-                            for f in phi.forward]
+    moved = map_vertices(mesh8, phi.forward)
+    one_by_one = np.array([[f[0] for f in phi.forward(np.array([x]),
+                                                       np.array([y]))]
                            for x, y in mesh8.vertices])
     assert np.array_equal(moved.vertices, one_by_one)
 
@@ -307,7 +316,7 @@ def test_mass_weight_compensates_jacobian():
         part = partition_boundary(mesh, lambda x, y: False)
         certify(c, mesh)
         plain = assemble(mesh, part, c)
-        moved = transport_mesh(mesh, phi)
+        moved = map_vertices(mesh, phi.forward)
         weighted = assemble(moved, part, c, sample_mesh=mesh,
                             mass_weight=mass_weight(phi))
         one = np.ones(plain.n_free)
