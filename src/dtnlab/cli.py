@@ -113,32 +113,33 @@ def _check_kinds(config, defaults, prefix=""):
                               f"of numbers")
 
 
-# (dotted key, test, requirement): values of the right JSON kind that a
-# run still cannot use, or that would leave a PASS line nothing to check
-_RANGES = (
-    ("k", lambda v: v >= 1, "at least 1"),
-    ("trials", lambda v: v >= 1, "at least 1"),
-    ("lambda_grid", lambda v: isinstance(v, dict) or len(v) > 0,
-     "a nonempty array"),
-    ("lambda_grid.gaps", lambda v: v >= 1, "at least 1"),
-    ("mu_grid.steps", lambda v: v >= 2, "at least 2"),
-    ("mu_limit", lambda v: len(v) >= 2 and v[0] < 0
-     and all(b < a for a, b in zip(v, v[1:])),
-     "at least two strictly decreasing negative numbers"),
-    ("t_grid", lambda v: len(v) > 0 and min(v) >= 0,
-     "a nonempty array of nonnegative numbers"),
-    ("gauge.refinements", lambda v: v >= 1, "at least 1"),
-    ("gauge.k", lambda v: v >= 1, "at least 1"),
-)
+# the smallest usable value of each count: below it a run fails, or a
+# PASS line is left with nothing to check
+_MINIMA = {"k": 1, "trials": 1, "lambda_grid.gaps": 1, "mu_grid.steps": 2,
+           "gauge.refinements": 1, "gauge.k": 1}
 
 
 def _check_ranges(config):
-    for name, test, requirement in _RANGES:
-        value = config
-        for key in name.split("."):
-            value = value.get(key) if isinstance(value, dict) else None
-        if value is not None and not test(value):
-            raise ConfigError(f"config key {name!r}: must be {requirement}")
+    """ConfigError naming the key of a count below its _MINIMA entry, an
+    empty lambda_grid array or t_grid, a negative t, or a mu_limit that
+    is not at least two strictly decreasing negative numbers."""
+    def out_of_range(name, requirement):
+        return ConfigError(f"config key {name!r}: must be {requirement}")
+
+    for name, low in _MINIMA.items():
+        head, _, key = name.rpartition(".")
+        block = config.get(head) if head else config
+        if isinstance(block, dict) and block.get(key, low) < low:
+            raise out_of_range(name, f"at least {low}")
+    if config["lambda_grid"] == []:
+        raise out_of_range("lambda_grid", "a nonempty array")
+    mu = config["mu_limit"]
+    if len(mu) < 2 or mu[0] >= 0 or any(b >= a for a, b in zip(mu, mu[1:])):
+        raise out_of_range("mu_limit", "at least two strictly decreasing "
+                                       "negative numbers")
+    if not config["t_grid"] or min(config["t_grid"]) < 0:
+        raise out_of_range("t_grid", "a nonempty array of nonnegative "
+                                     "numbers")
 
 
 def resolve_config(path=None, overrides=None):
@@ -147,8 +148,8 @@ def resolve_config(path=None, overrides=None):
     Raises ConfigError when a value's JSON kind (object, array, number,
     string, boolean) differs from its default's, at the top level or
     inside an object, when a numeric array holds anything but numbers
-    (booleans are not numbers), or when a value is out of the range in
-    _RANGES.
+    (booleans are not numbers), or when a value is out of range
+    (_check_ranges).
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
