@@ -36,7 +36,6 @@ __all__ = [
     "robin_matrix",
     "dirichlet_system",
     "lumped_boundary_weights",
-    "transported_form_value",
 ]
 
 # a Dirichlet eigenvalue within ZERO_RTOL * max|A| of 0 counts as 0
@@ -305,56 +304,3 @@ def lumped_boundary_weights(sys: AssembledSystem):
     keep = d >= 0
     return np.bincount(d[keep], weights=np.repeat(L / 2.0, 2)[keep],
                        minlength=sys.n_free)
-
-
-def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
-                           lam: float = 0.0) -> float:
-    """Quadrature value of the transported energy form at P1 functions.
-
-    Computes, for the coefficient set transported by phi (pullback
-    fields sampled at reference nodes, gradients mapped by the inverse
-    transposed Jacobian, measure weighted by det), the value of the
-    transported form at (u composed with the inverse map, same for v),
-    minus lam times the transported mass term.  By the change of
-    variables identity this equals the plain form value of (u, v) for
-    the original coefficients up to roundoff, which is what the
-    pullback tests verify.  u and v are free-dof vectors.
-    """
-    from .coeffs import pullback
-
-    b = pullback(c, phi)
-    nv = mesh.num_vertices
-    _, free = _free_dof_map(mesh, part)
-
-    u_vert = np.zeros(nv)
-    v_vert = np.zeros(nv)
-    u_vert[free] = u
-    v_vert[free] = v
-
-    pts = quadrature_points(mesh)
-    xs, ys = pts[..., 0], pts[..., 1]
-    J, det = phi.jacobian_batch(xs, ys)
-    g_q, bdrift_q, bcodrift_q, b0_q = _sample_fields(b, xs, ys)
-
-    _, area, grads = _triangle_geometry(mesh)
-    w = area[:, None] / 3.0
-    P = _HATS_AT_MIDPOINTS
-
-    tri = mesh.triangles
-    gu = np.einsum("Ti,Tik->Tk", u_vert[tri], grads)   # constant per triangle
-    gv = np.einsum("Ti,Tik->Tk", v_vert[tri], grads)
-    uq = np.einsum("Ti,iq->Tq", u_vert[tri], P)
-    vq = np.einsum("Ti,iq->Tq", v_vert[tri], P)
-
-    Jinv = np.linalg.inv(J)                             # (nt, 3, 2, 2)
-    Gu = np.einsum("Tqlk,Tl->Tqk", Jinv, gu)            # J^{-T} grad u
-    Gv = np.einsum("Tqlk,Tl->Tqk", Jinv, gv)
-
-    gmat = np.moveaxis(g_q, (0, 1), (-2, -1))           # (nt, 3, 2, 2)
-    principal = np.einsum("Tqk,Tqkl,Tql->Tq", Gu, gmat, Gv)
-    drift_term = np.einsum("kTq,Tqk->Tq", bdrift_q, Gu) * vq
-    codrift_term = np.einsum("kTq,Tqk->Tq", bcodrift_q, Gv) * uq
-    potential = (b0_q - lam / det) * uq * vq
-
-    integrand = det * (principal + drift_term + codrift_term + potential)
-    return float(np.sum(w * integrand))

@@ -36,7 +36,6 @@ __all__ = [
     "quadrature_points",
     "bump_diffeo",
     "twist_diffeo",
-    "identity_diffeo",
 ]
 
 # validate_diffeo's finite-difference step and relative tolerance
@@ -172,13 +171,15 @@ def _certificate(blocks):
 
     blocks is an iterable of (a, drift, codrift, a0) tuples of
     _sample_fields, each over a part of the quadrature nodes.  Each
-    block is reduced to its smallest eigenvalue, largest |a| and largest
-    asymmetries; eta is the minimum over all blocks, and the symmetry
-    tolerance is relative to the largest |a| over all blocks, so every
-    split of the nodes gives the bits of a single block.
+    block is reduced to its smallest eigenvalue, largest |a|, largest
+    asymmetries and largest |a0|; eta is the minimum over all blocks, and
+    the symmetry tolerance is relative to the largest |a| over all
+    blocks, so every split of the nodes gives the bits of a single block.
+    A non-finite sample makes one of the largest values non-finite, and
+    raises QuadratureError.
     """
-    etas, a_max, a_asym, drift_asym = [], [], [], []
-    for a, drift, codrift, _a0 in blocks:
+    etas, a_max, a_asym, drift_asym, a0_max = [], [], [], [], []
+    for a, drift, codrift, a0 in blocks:
         s11 = a[0, 0]
         s22 = a[1, 1]
         s12 = 0.5 * (a[0, 1] + a[1, 0])
@@ -188,6 +189,12 @@ def _certificate(blocks):
         a_max.append(np.max(np.abs(a)))
         a_asym.append(np.max(np.abs(a[0, 1] - a[1, 0])))
         drift_asym.append(np.max(np.abs(drift - codrift)))
+        a0_max.append(np.max(np.abs(a0)))
+    for name, largest in (("a", a_max), ("drift or codrift", drift_asym),
+                          ("a0", a0_max)):
+        if not np.isfinite(np.max(largest)):
+            raise QuadratureError(
+                f"coefficient {name} has a non-finite quadrature sample")
     eta = float(np.min(etas))
     scale = 1.0 + float(np.max(a_max))
     sym = (float(np.max(a_asym)) <= 1e-12 * scale
@@ -238,23 +245,17 @@ class Diffeo:
         """Jacobian matrices and determinants at arrays of points.
 
         Returns (J, det) with shapes (..., 2, 2) and (...).  Raises
-        SingularJacobianError if any determinant is <= 0.
+        SingularJacobianError unless every determinant is > 0 (a NaN
+        determinant fails).
         """
         J = self.jacobian(np.asarray(xs, dtype=float),
                           np.asarray(ys, dtype=float))
         det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        if np.any(det <= 0):
+        if not np.all(det > 0):
             raise SingularJacobianError(
                 f"Jacobian determinant min {float(np.min(det)):.6e} <= 0"
             )
         return J, det
-
-
-def identity_diffeo() -> Diffeo:
-    return Diffeo(
-        forward=lambda xs, ys: (xs, ys),
-        jacobian=lambda xs, ys: np.broadcast_to(np.eye(2), xs.shape + (2, 2)),
-    )
 
 
 def bump_diffeo(alpha=0.12, c1=1.0, c2=-0.7) -> Diffeo:
@@ -298,6 +299,8 @@ def radial_bump_diffeo(alpha=0.35, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1) to keep the map injective")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
     cx, cy = center
     R2 = radius * radius
 
@@ -329,6 +332,8 @@ def twist_diffeo(alpha=0.8, radius=0.45, center=(0.5, 0.5)) -> Diffeo:
     Rotates each circle of radius r < radius about the center by the
     angle alpha*(1 - (r/radius)^2)^2; det of the Jacobian is exactly 1.
     """
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius!r}")
     cx, cy = center
     R2 = radius * radius
 
@@ -377,7 +382,7 @@ def validate_diffeo(phi: Diffeo, mesh):
     for p in (v[mesh.boundary_vertices()], mids):
         moved = np.column_stack(phi.forward(p[:, 0], p[:, 1]))
         shift = float(np.max(np.abs(moved - p)))
-        if shift > 1e-10:
+        if not shift <= 1e-10:
             raise SingularJacobianError(
                 f"map must fix the boundary but moves it by {shift:.3e}")
     # spot-check the Jacobian on a thinned sample
@@ -412,42 +417,39 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
         codrift   (DPhi codrift) / det
         potential a0 / det
 
+    The nine fields are slots of one function of the points: it calls
+    phi.jacobian_batch once and samples each field of c once, computes
+    all nine values, and keeps them with copies of the points of its
+    latest call.  A field evaluated at points equal in value to those
+    reads its slot, so sampling the whole set costs one transport.
+
     Sampling these at reference quadrature nodes while assembling on
     the transported mesh (mesh.map_vertices(mesh, phi.forward)) realizes
     the transported problem; the associated weak forms coincide with the
     original ones up to quadrature error, which is what makes the two
     discrete operators comparable in gauge experiments.
     """
-    def matrix_entry(i, j):
-        def entry(xs, ys):
-            J, det = phi.jacobian_batch(xs, ys)
-            a = np.stack([
-                np.stack([c.a[r][s].eval_batch(xs, ys) for s in range(2)],
-                         axis=-1)
-                for r in range(2)
-            ], axis=-2)
-            g = J @ a @ np.swapaxes(J, -1, -2)
-            return g[..., i, j] / det
-        return ScalarField(entry)
+    memo = []    # [(xs, ys, values)] of the latest points
 
-    def vector_entry(fields, i):
-        def entry(xs, ys):
-            J, det = phi.jacobian_batch(xs, ys)
-            v = np.stack([fields[k].eval_batch(xs, ys) for k in range(2)],
-                         axis=-1)
-            return (J @ v[..., None])[..., i, 0] / det
-        return ScalarField(entry)
+    def transported(xs, ys):
+        if memo and np.array_equal(memo[0][0], xs) \
+                and np.array_equal(memo[0][1], ys):
+            return memo[0][2]
+        J, det = phi.jacobian_batch(xs, ys)
+        a, drift, codrift, a0 = _sample_fields(c, xs, ys)
+        g = J @ np.moveaxis(a, (0, 1), (-2, -1)) @ np.swapaxes(J, -1, -2)
+        values = [g[..., i, j] / det for i in range(2) for j in range(2)]
+        for v in (drift, codrift):
+            Jv = J @ np.moveaxis(v, 0, -1)[..., None]
+            values += [Jv[..., i, 0] / det for i in range(2)]
+        values.append(a0 / det)
+        memo[:] = [(xs.copy(), ys.copy(), values)]
+        return values
 
-    def potential(xs, ys):
-        _, det = phi.jacobian_batch(xs, ys)
-        return c.a0.eval_batch(xs, ys) / det
-
-    return CoefficientSet(
-        a=tuple(tuple(matrix_entry(i, j) for j in range(2)) for i in range(2)),
-        drift=tuple(vector_entry(c.drift, i) for i in range(2)),
-        codrift=tuple(vector_entry(c.codrift, i) for i in range(2)),
-        a0=ScalarField(potential),
-    )
+    f = [ScalarField(lambda xs, ys, k=k: transported(xs, ys)[k].copy())
+         for k in range(9)]
+    return CoefficientSet(a=((f[0], f[1]), (f[2], f[3])), drift=(f[4], f[5]),
+                          codrift=(f[6], f[7]), a0=f[8])
 
 
 def mass_weight(phi: Diffeo) -> ScalarField:

@@ -12,8 +12,8 @@ pair (S, Bb) is the boundary operator all spectral and semigroup
 computations consume; the explicit product Bb^{-1} S is never formed.
 
 A DtnMatrix is the one record of the operator at one lambda, and
-harmonic_extension, decompose and coercivity_report solve with its
-factor of C_II instead of factoring again.  C stays sparse, its
+harmonic_extension solves with its factor of C_II instead of factoring
+again.  C stays sparse, its
 coupling blocks C_BI and C_IB included: the interior solve takes C_IB
 a fixed block of columns at a time, so no dense n_I x b array exists.
 S and Bb (b x b, b the number of gamma1 dofs) are the only dense
@@ -27,18 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assemble import AssembledSystem, assemble
-from .coeffs import CoefficientSet
+from .assemble import AssembledSystem
 from .errors import NearDirichletSpectrumError
 
 __all__ = [
     "DtnMatrix",
     "HarmonicExtensionResult",
-    "CoercivityReport",
     "harmonic_extension",
     "dtn_matrix",
-    "decompose",
-    "coercivity_report",
 ]
 
 COND_LIMIT = 1e12
@@ -71,13 +67,6 @@ class HarmonicExtensionResult:
 
     u: np.ndarray              # (n_free,), or (n_free, m) for m vectors
     residual_interior: float   # worst column, relative to matrix/vector scale
-
-
-@dataclass(frozen=True)
-class CoercivityReport:
-    w: float
-    delta: float
-    m: float
 
 
 def harmonic_extension(d: DtnMatrix, phi) -> HarmonicExtensionResult:
@@ -139,54 +128,3 @@ def dtn_matrix(sys: AssembledSystem, lam: float) -> DtnMatrix:
     Bb = sys.B[bd, :][:, bd].toarray()
     return DtnMatrix(sys=sys, lam=float(lam), C=C, S=S, Bb=Bb,
                      cond_interior=cond, lu=lu)
-
-
-def decompose(d: DtnMatrix, u):
-    """Split a free-dof vector into interior part plus harmonic extension.
-
-    Returns (u0, ext) where u0 lives on the interior dofs and ext is
-    the harmonic extension (at the lambda of d) of the boundary trace of
-    u; the identity u = embed(u0) + ext.u holds exactly on the boundary
-    dofs and to roundoff elsewhere.
-    """
-    sys = d.sys
-    u = np.asarray(u, dtype=float)
-    ext = harmonic_extension(d, u[sys.boundary_dofs])
-    u0 = (u - ext.u)[sys.interior_dofs]
-    return u0, ext
-
-
-def embed_interior(sys: AssembledSystem, u0):
-    """Zero-pad an interior vector to the free-dof space."""
-    out = np.zeros(sys.n_free)
-    out[sys.interior_dofs] = u0
-    return out
-
-
-def coercivity_report(d: DtnMatrix) -> CoercivityReport:
-    """Exact boundary-form coercivity and continuity constants.
-
-    With nu the eigenvalues of (S, Bb), the shift is
-    w = 1.1*max(0, -nu_min) + 1e-6*||S||_1/||Bb||_1, so that S + w*Bb is
-    positive definite.  delta is the largest constant with
-    phi^T (S + w Bb) phi >= delta * ||u_phi||_H1^2, where u_phi is the
-    harmonic extension and the discrete H1 norm is u^T (K + M) u with K
-    the unit-coefficient stiffness: the smallest eigenvalue of
-    (S + w Bb, Q), Q = E^T (K + M) E with E the extension of the identity.
-    m is the smallest constant with |psi^T S phi| <= m ||phi|| ||psi|| in
-    the norm ||phi||^2 = phi^T (S + w Bb) phi: the largest |eigenvalue|
-    of (S, S + w Bb), which are nu/(nu + w) with the eigenvectors of
-    (S, Bb).
-    """
-    from .spectral import sym_geneig   # spectral imports us
-    sys = d.sys
-    b = d.S.shape[0]
-    nu = sym_geneig(d.S, d.Bb, b).eigenvalues
-    w = (1.1 * max(0.0, -float(nu[0]))
-         + 1e-6 * np.linalg.norm(d.S, 1) / np.linalg.norm(d.Bb, 1))
-    SW = d.S + w * d.Bb
-    E = harmonic_extension(d, np.eye(b)).u
-    H = assemble(sys.mesh, sys.part, CoefficientSet.identity()).A + sys.M
-    delta = float(sym_geneig(SW, E.T @ (H @ E), 1).eigenvalues[0])
-    m = float(np.max(np.abs(nu / (nu + w))))
-    return CoercivityReport(w=float(w), delta=delta, m=m)

@@ -38,7 +38,6 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "compile_expr",
-    "format_expr",
     "FUNCTIONS",
 ]
 
@@ -394,44 +393,3 @@ def compile_expr(e: Expr):
         return out
 
     return evaluate
-
-
-def format_expr(e: Expr) -> str:
-    """Render a tree back to source text.
-
-    The output uses the minimal parenthesization that reparses to a
-    structurally equal tree under the fixed grammar.
-    """
-    if isinstance(e, Num):
-        if e.value == math.pi:
-            return "pi"
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        # the operand must be printable as a unary
-        inner = format_expr(e.operand)
-        if isinstance(e.operand, BinOp):
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(format_expr(a) for a in e.args)})"
-    if isinstance(e, BinOp):
-        left = format_expr(e.left)
-        right = format_expr(e.right)
-        if e.op == "^":
-            # left slot is a unary, right slot is a factor
-            if isinstance(e.left, BinOp):
-                left = f"({left})"
-            if isinstance(e.right, BinOp) and e.right.op != "^":
-                right = f"({right})"
-        elif e.op in "*/":
-            if isinstance(e.left, BinOp) and e.left.op in "+-":
-                left = f"({left})"
-            if isinstance(e.right, BinOp) and e.right.op in "+-*/":
-                right = f"({right})"
-        else:  # '+' or '-'
-            if isinstance(e.right, BinOp) and e.right.op in "+-":
-                right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an expression node: {e!r}")

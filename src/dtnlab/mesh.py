@@ -224,7 +224,7 @@ def _check_mesh(mesh, keys):
     _check_indices("triangles", mesh.triangles, nv)
     _check_indices("boundary edges", mesh.boundary_edges, nv)
     areas = _signed_areas(mesh.vertices, mesh.triangles)
-    if np.any(areas <= 0):
+    if not np.all(areas > 0):
         bad = int(np.argmin(areas))
         raise MeshInvariantError(
             f"triangle {bad} has nonpositive signed area {areas[bad]:.3e}"
@@ -570,7 +570,8 @@ def polygon_edge_selector(polygon, edge_indices):
 def map_vertices(mesh: Mesh, fn) -> Mesh:
     """Move all vertices by one call fn(xs, ys) -> (xs', ys'), topology kept.
 
-    Raises MeshInvariantError if any triangle flips orientation.
+    Raises MeshInvariantError if any triangle flips orientation or a
+    vertex is sent to NaN.
     """
     moved = np.column_stack(fn(*mesh.vertices.T)).astype(np.float64)
     return _make_mesh(moved, mesh.triangles.copy(),

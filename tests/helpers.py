@@ -1,14 +1,34 @@
-"""Shared fixtures-in-spirit: small systems used across test modules."""
+"""Shared fixtures-in-spirit: small systems used across test modules,
+and the oracles the tests check the package against."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from dtnlab.assemble import assemble
-from dtnlab.coeffs import CoefficientSet, certify
+from dtnlab.assemble import (
+    _HATS_AT_MIDPOINTS,
+    AssembledSystem,
+    _free_dof_map,
+    _triangle_geometry,
+    assemble,
+)
+from dtnlab.coeffs import (
+    CoefficientSet,
+    Diffeo,
+    _sample_fields,
+    certify,
+    pullback,
+    quadrature_points,
+)
+from dtnlab.dtn import DtnMatrix, harmonic_extension
+from dtnlab.exprlang import BinOp, Call, Expr, Neg, Num, Var
 from dtnlab.mesh import (
     build_structured_square,
     partition_boundary,
     square_side_selector,
 )
+from dtnlab.spectral import sym_geneig
 
 
 def square_system(n=8, gamma0_sides=("left",), coeffs=None, lumped=False):
@@ -31,3 +51,159 @@ def variable_coeffs():
         drift=("0.2", "0.1"),
         a0="0.5 + 0.25*x",
     )
+
+
+def identity_diffeo() -> Diffeo:
+    return Diffeo(
+        forward=lambda xs, ys: (xs, ys),
+        jacobian=lambda xs, ys: np.broadcast_to(np.eye(2), xs.shape + (2, 2)),
+    )
+
+
+def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
+                           lam: float = 0.0) -> float:
+    """Quadrature value of the transported energy form at P1 functions.
+
+    Computes, for the coefficient set transported by phi (pullback
+    fields sampled at reference nodes, gradients mapped by the inverse
+    transposed Jacobian, measure weighted by det), the value of the
+    transported form at (u composed with the inverse map, same for v),
+    minus lam times the transported mass term.  By the change of
+    variables identity this equals the plain form value of (u, v) for
+    the original coefficients up to roundoff, which is what the
+    pullback tests verify.  u and v are free-dof vectors.
+    """
+    b = pullback(c, phi)
+    nv = mesh.num_vertices
+    _, free = _free_dof_map(mesh, part)
+
+    u_vert = np.zeros(nv)
+    v_vert = np.zeros(nv)
+    u_vert[free] = u
+    v_vert[free] = v
+
+    pts = quadrature_points(mesh)
+    xs, ys = pts[..., 0], pts[..., 1]
+    J, det = phi.jacobian_batch(xs, ys)
+    g_q, bdrift_q, bcodrift_q, b0_q = _sample_fields(b, xs, ys)
+
+    _, area, grads = _triangle_geometry(mesh)
+    w = area[:, None] / 3.0
+    P = _HATS_AT_MIDPOINTS
+
+    tri = mesh.triangles
+    gu = np.einsum("Ti,Tik->Tk", u_vert[tri], grads)   # constant per triangle
+    gv = np.einsum("Ti,Tik->Tk", v_vert[tri], grads)
+    uq = np.einsum("Ti,iq->Tq", u_vert[tri], P)
+    vq = np.einsum("Ti,iq->Tq", v_vert[tri], P)
+
+    Jinv = np.linalg.inv(J)                             # (nt, 3, 2, 2)
+    Gu = np.einsum("Tqlk,Tl->Tqk", Jinv, gu)            # J^{-T} grad u
+    Gv = np.einsum("Tqlk,Tl->Tqk", Jinv, gv)
+
+    gmat = np.moveaxis(g_q, (0, 1), (-2, -1))           # (nt, 3, 2, 2)
+    principal = np.einsum("Tqk,Tqkl,Tql->Tq", Gu, gmat, Gv)
+    drift_term = np.einsum("kTq,Tqk->Tq", bdrift_q, Gu) * vq
+    codrift_term = np.einsum("kTq,Tqk->Tq", bcodrift_q, Gv) * uq
+    potential = (b0_q - lam / det) * uq * vq
+
+    integrand = det * (principal + drift_term + codrift_term + potential)
+    return float(np.sum(w * integrand))
+
+
+@dataclass(frozen=True)
+class CoercivityReport:
+    w: float
+    delta: float
+    m: float
+
+
+def decompose(d: DtnMatrix, u):
+    """Split a free-dof vector into interior part plus harmonic extension.
+
+    Returns (u0, ext) where u0 lives on the interior dofs and ext is
+    the harmonic extension (at the lambda of d) of the boundary trace of
+    u; the identity u = embed(u0) + ext.u holds exactly on the boundary
+    dofs and to roundoff elsewhere.
+    """
+    sys = d.sys
+    u = np.asarray(u, dtype=float)
+    ext = harmonic_extension(d, u[sys.boundary_dofs])
+    u0 = (u - ext.u)[sys.interior_dofs]
+    return u0, ext
+
+
+def embed_interior(sys: AssembledSystem, u0):
+    """Zero-pad an interior vector to the free-dof space."""
+    out = np.zeros(sys.n_free)
+    out[sys.interior_dofs] = u0
+    return out
+
+
+def coercivity_report(d: DtnMatrix) -> CoercivityReport:
+    """Exact boundary-form coercivity and continuity constants.
+
+    With nu the eigenvalues of (S, Bb), the shift is
+    w = 1.1*max(0, -nu_min) + 1e-6*||S||_1/||Bb||_1, so that S + w*Bb is
+    positive definite.  delta is the largest constant with
+    phi^T (S + w Bb) phi >= delta * ||u_phi||_H1^2, where u_phi is the
+    harmonic extension and the discrete H1 norm is u^T (K + M) u with K
+    the unit-coefficient stiffness: the smallest eigenvalue of
+    (S + w Bb, Q), Q = E^T (K + M) E with E the extension of the identity.
+    m is the smallest constant with |psi^T S phi| <= m ||phi|| ||psi|| in
+    the norm ||phi||^2 = phi^T (S + w Bb) phi: the largest |eigenvalue|
+    of (S, S + w Bb), which are nu/(nu + w) with the eigenvectors of
+    (S, Bb).
+    """
+    sys = d.sys
+    b = d.S.shape[0]
+    nu = sym_geneig(d.S, d.Bb, b).eigenvalues
+    w = (1.1 * max(0.0, -float(nu[0]))
+         + 1e-6 * np.linalg.norm(d.S, 1) / np.linalg.norm(d.Bb, 1))
+    SW = d.S + w * d.Bb
+    E = harmonic_extension(d, np.eye(b)).u
+    H = assemble(sys.mesh, sys.part, CoefficientSet.identity()).A + sys.M
+    delta = float(sym_geneig(SW, E.T @ (H @ E), 1).eigenvalues[0])
+    m = float(np.max(np.abs(nu / (nu + w))))
+    return CoercivityReport(w=float(w), delta=delta, m=m)
+
+
+def format_expr(e: Expr) -> str:
+    """Render a tree back to source text.
+
+    The output uses the minimal parenthesization that reparses to a
+    structurally equal tree under the fixed grammar.
+    """
+    if isinstance(e, Num):
+        if e.value == math.pi:
+            return "pi"
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        # the operand must be printable as a unary
+        inner = format_expr(e.operand)
+        if isinstance(e.operand, BinOp):
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(e, Call):
+        return f"{e.func}({', '.join(format_expr(a) for a in e.args)})"
+    if isinstance(e, BinOp):
+        left = format_expr(e.left)
+        right = format_expr(e.right)
+        if e.op == "^":
+            # left slot is a unary, right slot is a factor
+            if isinstance(e.left, BinOp):
+                left = f"({left})"
+            if isinstance(e.right, BinOp) and e.right.op != "^":
+                right = f"({right})"
+        elif e.op in "*/":
+            if isinstance(e.left, BinOp) and e.left.op in "+-":
+                left = f"({left})"
+            if isinstance(e.right, BinOp) and e.right.op in "+-*/":
+                right = f"({right})"
+        else:  # '+' or '-'
+            if isinstance(e.right, BinOp) and e.right.op in "+-":
+                right = f"({right})"
+        return f"{left} {e.op} {right}"
+    raise TypeError(f"not an expression node: {e!r}")

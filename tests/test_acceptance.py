@@ -14,7 +14,7 @@ import pytest
 from dtnlab.assemble import assemble
 from dtnlab.cli import run as cli_run
 from dtnlab.coeffs import CoefficientSet, certify, radial_bump_diffeo
-from dtnlab.dtn import coercivity_report, decompose, dtn_matrix, embed_interior
+from dtnlab.dtn import dtn_matrix
 from dtnlab.mesh import (
     build_polygon_mesh,
     build_structured_square,
@@ -45,7 +45,13 @@ from dtnlab.spectral import (
     sym_geneig,
 )
 
-from helpers import variable_coeffs
+from helpers import (
+    coercivity_report,
+    decompose,
+    embed_interior,
+    format_expr,
+    variable_coeffs,
+)
 from test_exprlang import _outcome, _random_tree, reference_eval
 from test_spectral import brute_force_geneig, random_spd_pair
 
@@ -301,7 +307,7 @@ def test_acceptance_8_infrastructure(tmp_path):
 
     # expression language: round trip and reference-evaluator agreement
     import random as pyrandom
-    from dtnlab.exprlang import eval_expr, format_expr, parse_expr
+    from dtnlab.exprlang import eval_expr, parse_expr
     tree_rng = pyrandom.Random(7)
     for _ in range(1000):
         tree = _random_tree(tree_rng, 4)

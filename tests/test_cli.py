@@ -206,6 +206,10 @@ def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
     ("curves", {"mu_grid": {"steps": 1}}, "mu_grid.steps"),
     ("limit", {"mu_limit": [1.0]}, "mu_limit"),
     ("semigroup", {"t_grid": [-1.0]}, "t_grid"),
+    # radius 0 put a NaN vertex at the centre, and -0.3 ran as 0.3
+    *(("gauge", {"gauge": {"diffeo": {"type": kind, "radius": radius}}},
+       "gauge.diffeo")
+      for kind in ("radial_bump", "twist") for radius in (0.0, -0.3)),
 ])
 def test_config_value_out_of_range_exits_two(tmp_path, capsys, command, bad,
                                              key):
@@ -247,6 +251,23 @@ def test_gauge_rejects_a_map_that_moves_the_boundary(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "map must fix the boundary" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["validate", "spectrum"])
+@pytest.mark.parametrize("coefficients", [
+    {"a": [["1e308*10 - 1e308*10", "0"], ["0", "1"]]},   # NaN
+    {"a0": "1e308*10"},                                  # inf
+])
+def test_non_finite_coefficient_samples_exit_one(tmp_path, capsys, command,
+                                                 coefficients):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FAST_CONFIG, coefficients=coefficients)))
+    assert run([command, "--config", str(path),
+                "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert "error: coefficient " in captured.err
+    assert "non-finite quadrature sample" in captured.err
+    assert "eta=" not in captured.out
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,6 +1,7 @@
 """Coefficient certification, diffeomorphisms and pullback transport."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dtnlab.coeffs as coeffs_module
-from dtnlab.assemble import assemble, transported_form_value
+from dtnlab.assemble import assemble
 from dtnlab.coeffs import (
     CoefficientSet,
     Diffeo,
     ScalarField,
     bump_diffeo,
     certify,
-    identity_diffeo,
     mass_weight,
     pullback,
     quadrature_points,
@@ -33,7 +33,7 @@ from dtnlab.mesh import (
     regular_polygon,
 )
 
-from helpers import variable_coeffs
+from helpers import identity_diffeo, transported_form_value, variable_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,26 @@ def test_certify_block_failing_late_raises_the_one_block_error(monkeypatch,
             certify(c, mesh8)
         assert str(blocked.value) == str(whole.value)
     assert "sqrt" in str(whole.value)
+
+
+def _one_bad_node(value):
+    return lambda xs, ys: np.where((xs > 0.9) & (ys < 0.1), value, 1.0)
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("a", dict(a=((_one_bad_node(np.nan), 0.0), (0.0, 1.0)))),
+    ("drift or codrift", dict(drift=(_one_bad_node(np.inf), 0.0))),
+    ("drift or codrift", dict(drift=(0.0, 0.0),
+                              codrift=(0.0, _one_bad_node(-np.inf)))),
+    ("a0", dict(a0=_one_bad_node(np.inf))),
+])
+@pytest.mark.parametrize("block", [7, 10**9])
+def test_certify_refuses_a_non_finite_sample(monkeypatch, mesh8, name,
+                                             fields, block):
+    monkeypatch.setattr(coeffs_module, "_CERTIFY_BLOCK", block)
+    with pytest.raises(QuadratureError,
+                       match=f"coefficient {name} has a non-finite"):
+        certify(CoefficientSet.make(**fields), mesh8)
 
 
 def test_certify_memory_stays_bounded_on_a_fine_mesh():
@@ -281,6 +301,81 @@ def test_weak_form_transport_identity(phi_factory, mesh8):
         lhs = transported_form_value(mesh8, part, c, phi_factory(), u, v, lam=lam)
         rhs = u @ ((sys_.A - lam * sys_.M) @ v)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _fields(c):
+    return [*c.a[0], *c.a[1], *c.drift, *c.codrift, c.a0]
+
+
+def test_pullback_samples_each_field_and_the_jacobian_once(mesh8):
+    calls = Counter()
+
+    def counted(name, f):
+        def sample(xs, ys):
+            calls[name] += 1
+            return f(xs, ys)
+        return sample
+
+    def xy(x, y):
+        return x * y
+
+    c = CoefficientSet.make(
+        a=((counted("a00", lambda x, y: 2 + x), counted("a01", xy)),
+           (counted("a10", xy), counted("a11", lambda x, y: 1 + y))),
+        drift=(counted("drift0", lambda x, y: x),
+               counted("drift1", lambda x, y: y)),
+        codrift=(counted("codrift0", lambda x, y: y),
+                 counted("codrift1", lambda x, y: x)),
+        a0=counted("a0", lambda x, y: 1 + x * x))
+    phi = radial_bump_diffeo()
+    b = pullback(c, Diffeo(phi.forward, counted("jacobian", phi.jacobian)))
+    pts = quadrature_points(mesh8)
+    coeffs_module._sample_fields(b, pts[..., 0], pts[..., 1])
+    assert calls == Counter(["a00", "a01", "a10", "a11", "drift0", "drift1",
+                             "codrift0", "codrift1", "a0", "jacobian"])
+
+
+def test_pullback_fields_follow_their_points(mesh8):
+    c, phi = variable_coeffs(), twist_diffeo()
+    b = pullback(c, phi)
+    pts = quadrature_points(mesh8)
+    xs, ys = pts[..., 0].copy(), pts[..., 1].copy()
+
+    def check(case, px, py):
+        got = [f.eval_batch(px, py) for f in _fields(b)]
+        fresh = [f.eval_batch(px, py) for f in _fields(pullback(c, phi))]
+        assert [v.tobytes() for v in got] \
+            == [v.tobytes() for v in fresh], case
+
+    b.a[0][0].eval_batch(xs, ys)[...] = np.nan   # a caller's copy
+    check("first set", xs, ys)
+    xs *= 0.9                                    # changed in place
+    ys += 0.05
+    check("first set, changed in place", xs, ys)
+    check("second set", 0.5 + 0.8 * (ys - 0.5), xs[::-1])
+    check("first set again", xs, ys)
+
+
+def test_nan_jacobian_determinant_is_refused(mesh8):
+    def jacobian(xs, ys):
+        J = np.broadcast_to(np.eye(2), xs.shape + (2, 2)).copy()
+        J.reshape(-1, 2, 2)[5] = np.nan
+        return J
+
+    pts = quadrature_points(mesh8)
+    with pytest.raises(SingularJacobianError):
+        Diffeo(lambda xs, ys: (xs, ys), jacobian).jacobian_batch(
+            pts[..., 0], pts[..., 1])
+
+
+def test_validate_rejects_a_map_sending_the_boundary_to_nan(mesh8):
+    nan_edge = Diffeo(
+        forward=lambda xs, ys: (np.where(xs == 0.0, np.nan, xs), ys),
+        jacobian=identity_diffeo().jacobian,
+    )
+    with pytest.raises(SingularJacobianError,
+                       match="map must fix the boundary"):
+        validate_diffeo(nan_edge, mesh8)
 
 
 def test_boundary_traces_unchanged_by_transport(mesh8):

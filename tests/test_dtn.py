@@ -9,13 +9,7 @@ import scipy.sparse.linalg as spla
 import dtnlab.dtn as dtn_module
 from dtnlab.assemble import assemble, robin_matrix
 from dtnlab.coeffs import CoefficientSet
-from dtnlab.dtn import (
-    coercivity_report,
-    decompose,
-    dtn_matrix,
-    embed_interior,
-    harmonic_extension,
-)
+from dtnlab.dtn import dtn_matrix, harmonic_extension
 from dtnlab.errors import NearDirichletSpectrumError
 from dtnlab.mesh import (
     build_polygon_mesh,
@@ -25,7 +19,13 @@ from dtnlab.mesh import (
 )
 from dtnlab.spectral import dirichlet_spectrum, duality_check, steklov_spectrum
 
-from helpers import square_system, variable_coeffs
+from helpers import (
+    coercivity_report,
+    decompose,
+    embed_interior,
+    square_system,
+    variable_coeffs,
+)
 
 
 @pytest.fixture(scope="module")

@@ -17,9 +17,10 @@ from dtnlab.exprlang import (
     Num,
     Var,
     eval_expr,
-    format_expr,
     parse_expr,
 )
+
+from helpers import format_expr
 
 
 def test_literal():

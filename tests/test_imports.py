@@ -1,7 +1,9 @@
-"""Every module of the dtnlab package uses each name it imports."""
+"""Every module of the dtnlab package uses each name it imports, and
+every top-level function or class is reached from the package itself."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -36,3 +38,43 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# top-level definitions that no package code references, each with why
+# it stays in the package
+ENTRY_POINTS = {
+    ("cli", "main"): "the console script of pyproject.toml",
+    ("mesh", "check_mesh"): "the public validator of hand-built Mesh records",
+}
+
+
+def unreferenced_definitions(sources):
+    """(module, name) of each top-level function or class that no code
+    in sources (module name -> source) references outside its own
+    definition, by name or as an attribute."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    names = {}                  # top-level statement -> names it uses
+    for tree in trees.values():
+        for stmt in tree.body:
+            names[stmt] = {n.id if isinstance(n, ast.Name) else n.attr
+                           for n in ast.walk(stmt)
+                           if isinstance(n, (ast.Name, ast.Attribute))}
+    uses = Counter(name for used in names.values() for name in used)
+    return sorted(
+        (module, stmt.name) for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        # used by no statement, or by its own only
+        and uses[stmt.name] == int(stmt.name in names[stmt]))
+
+
+def test_scan_finds_an_unreferenced_definition():
+    assert unreferenced_definitions({
+        "a": "def f():\n    return f()\nclass C:\n    pass\n",
+        "b": "import a\ndef g():\n    return a.C()\n",
+    }) == [("a", "f"), ("b", "g")]
+
+
+def test_every_definition_is_reached_from_the_package():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_definitions(sources) == sorted(ENTRY_POINTS)

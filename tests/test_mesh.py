@@ -171,6 +171,14 @@ def test_collapsed_boundary_edge_rejected():
                                               0.0, (x, y)))
 
 
+def test_map_vertices_rejects_a_nan_vertex():
+    # the centre (0.5, 0.5) is interior; its triangles get NaN areas
+    m = build_structured_square(2)
+    with pytest.raises(MeshInvariantError, match="nonpositive signed area"):
+        map_vertices(m, lambda x, y: np.where((x == 0.5) & (y == 0.5),
+                                              np.nan, (x, y)))
+
+
 def test_map_vertices_identity_keeps_everything():
     m = refine(build_structured_square(2))
     moved = map_vertices(m, lambda x, y: (x, y))
