@@ -1,12 +1,13 @@
 """P1 finite element assembly with gamma0 dofs eliminated.
 
 Builds the energy-form matrix A, the (consistent) domain mass matrix M
-and the gamma1 boundary mass matrix B on the free degrees of freedom.
-Free dofs are the mesh vertices not constrained by the boundary
-partition, numbered in vertex order.  Variable coefficients are sampled
-with the edge-midpoint triangle rule (order 2, exact for quadratics);
-boundary edge integration is exact for the P1 product, with an optional
-lumped (trapezoid) variant used by the semigroup positivity studies.
+of density c.rho and the gamma1 boundary mass matrix B on the free
+degrees of freedom.  Free dofs are the mesh vertices not constrained by
+the boundary partition, numbered in vertex order.  Variable coefficients
+are sampled with the edge-midpoint triangle rule (order 2, exact for
+quadratics); boundary edge integration is exact for the P1 product,
+with an optional lumped (trapezoid) variant used by the semigroup
+positivity studies.
 
 The coefficient samples taken for assembly are also the only source of
 the ellipticity certificate: every AssembledSystem carries its samples
@@ -59,8 +60,8 @@ class AssembledSystem:
     gamma1; interior_dofs is the complement.  samples is the (a, drift,
     codrift, a0) tuple of coefficient values at the quadrature nodes the
     system was assembled from, shaped (2, 2, nt, 3), (2, nt, 3),
-    (2, nt, 3) and (nt, 3); eta and symmetric are the ellipticity
-    certificate of exactly those samples.
+    (2, nt, 3) and (nt, 3) (the density rho is not among them); eta and
+    symmetric are the ellipticity certificate of exactly those samples.
 
     The system is frozen: no field can be reassigned after assemble, so
     everything derived from the fields and cached on first use stays
@@ -79,7 +80,6 @@ class AssembledSystem:
     lumped_boundary: bool
     mesh: object
     part: object
-    coeffs: CoefficientSet
     samples: tuple
     eta: float
     symmetric: bool
@@ -185,7 +185,7 @@ def _gamma1_edges(mesh, part, dof_map):
 
 
 def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
-             sample_mesh=None, mass_weight=None) -> AssembledSystem:
+             sample_mesh=None) -> AssembledSystem:
     """Assemble A, M and B for a mesh, partition and coefficient set.
 
     The entry A[i, j] is the energy form applied to (trial hat j,
@@ -193,9 +193,9 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
     values are taken at the quadrature nodes of that mesh instead; this
     is the transport hook used by gauge experiments, where the geometry
     mesh is the image of the sample mesh under a boundary-fixed map.
-    mass_weight (a scalar field, sampled like the coefficients) weights
-    the domain mass form; transported systems use the reciprocal
-    Jacobian determinant so that their spectral-parameter family stays
+    The domain mass form is weighted by the density c.rho, sampled at
+    the same nodes; it is 1 except on a pulled-back set, whose
+    reciprocal Jacobian determinant keeps the spectral-parameter family
     comparable with the untransported one.
 
     Ellipticity is certified on the samples taken here, every call:
@@ -213,6 +213,7 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
         raise ValueError("sample_mesh must share the mesh topology")
     pts = quadrature_points(coeff_mesh)
     samples = _sample_fields(c, pts[..., 0], pts[..., 1])
+    rho = c.rho.eval_batch(pts[..., 0], pts[..., 1])
     eta, symmetric = _certificate([samples])
     a_q, drift_q, codrift_q, a0_q = samples
 
@@ -231,13 +232,9 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
     codrift_dot = np.einsum("kTq,Tik->Tiq", codrift_q, grads)  # (nt, test, q)
     C_el = np.einsum("Tq,Tiq,jq->Tij", w, codrift_dot, P)
 
-    # potential and (possibly weighted) mass
+    # potential and mass of density rho
     V_el = np.einsum("Tq,iq,jq->Tij", w * a0_q, P, P)
-    if mass_weight is None:
-        M_el = np.einsum("Tq,iq,jq->Tij", w, P, P)
-    else:
-        rho = mass_weight.eval_batch(pts[..., 0], pts[..., 1])
-        M_el = np.einsum("Tq,iq,jq->Tij", w * rho, P, P)
+    M_el = np.einsum("Tq,iq,jq->Tij", w * rho, P, P)
 
     A_el = K_el + D_el + C_el + V_el
 
@@ -274,8 +271,7 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
         A=A, M=M, B=B, dof_map=dof_map, free_vertices=free_vertices,
         boundary_dofs=boundary_dofs, interior_dofs=interior_dofs,
         lumped_boundary=bool(lump_boundary_mass),
-        mesh=mesh, part=part, coeffs=c,
-        samples=samples, eta=eta, symmetric=symmetric,
+        mesh=mesh, part=part, samples=samples, eta=eta, symmetric=symmetric,
     )
 
 

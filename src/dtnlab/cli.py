@@ -23,12 +23,13 @@ from . import __version__
 from .assemble import assemble
 from .coeffs import (
     CoefficientSet,
+    _field_grid,
     bump_diffeo,
     certify,
     radial_bump_diffeo,
     twist_diffeo,
 )
-from .errors import ConfigError, DtnLabError
+from .errors import ConfigError, DtnLabError, ParseError
 from .mesh import (
     build_polygon_mesh,
     build_structured_square,
@@ -174,11 +175,11 @@ def resolve_config(path=None, overrides=None):
 
 
 def _built(key, build, *args):
-    """build(*args), with a ValueError or TypeError it raises turned into
-    a ConfigError naming the config key the arguments came from."""
+    """build(*args), with a ValueError, TypeError or ParseError turned
+    into a ConfigError naming the config key the arguments came from."""
     try:
         return build(*args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ParseError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
@@ -220,13 +221,13 @@ def build_selector(config, poly):
 
 
 def build_coefficients(config):
-    """The CoefficientSet of the coefficients block; an entry that is not
-    an expression is a ConfigError naming its key."""
-    block = config["coefficients"]
-    for key, spec in block.items():
-        _built(f"coefficients.{key}", CoefficientSet.from_config,
-               {key: spec})
-    return CoefficientSet.from_config(block)
+    """The CoefficientSet of the coefficients block, each field built
+    once; an entry that is not an expression, or a list of the wrong
+    length, is a ConfigError naming its key."""
+    shapes = {"a": (2, 2), "drift": (2,), "a0": ()}
+    return CoefficientSet.from_config({
+        key: _built(f"coefficients.{key}", _field_grid, spec, shapes[key])
+        for key, spec in config["coefficients"].items() if key in shapes})
 
 
 def build_problem(config):
@@ -452,6 +453,9 @@ def cmd_semigroup(config, rep: Reporter) -> bool:
 
 
 def cmd_gauge(config, rep: Reporter) -> bool:
+    """Gauge study, always on the unit square of gauge.base_n: gamma0 is
+    read from the config only when domain.type is square, and is empty
+    otherwise, so a polygon's gamma0 is not used here."""
     g = config["gauge"]
     base = _built("gauge.base_n", build_structured_square, int(g["base_n"]))
     sel = build_selector(config, None) \

@@ -3,7 +3,8 @@ ellipticity certification, and diffeomorphism pullbacks for gauge
 experiments.
 
 A coefficient set holds a 2x2 matrix field a, a drift vector field, a
-codrift vector field and a scalar potential.  All fields are real
+codrift vector field, a scalar potential and the density rho of the
+mass form (1 except on a pulled-back set).  All fields are real
 valued, and a set carries no state beyond them.  Certification works
 on the field samples at the triangle quadrature nodes of a mesh: it
 returns the worst-case smallest eigenvalue of the symmetrized matrix
@@ -58,7 +59,7 @@ class ScalarField:
     def __init__(self, spec):
         if isinstance(spec, ScalarField):
             self._kind, self._batch = spec._kind, spec._batch
-        elif isinstance(spec, (int, float)):
+        elif isinstance(spec, (int, float)) and not isinstance(spec, bool):
             value = float(spec)
             self._kind = "const"
             self._batch = lambda xs, ys: np.full(xs.shape, value)
@@ -79,26 +80,30 @@ class ScalarField:
 
 
 def _field_grid(spec, shape):
-    """Coerce nested field specs into a tuple-of-tuples of ScalarField."""
-    if shape == (2, 2):
-        return tuple(tuple(ScalarField(spec[i][j]) for j in range(2))
-                     for i in range(2))
-    return tuple(ScalarField(spec[i]) for i in range(2))
+    """Nested specs as nested tuples of ScalarField of shape (2, 2), (2,)
+    or () (one field); ValueError when a list has the wrong length."""
+    if not shape:
+        return ScalarField(spec)
+    if not isinstance(spec, (list, tuple)) or len(spec) != shape[0]:
+        raise ValueError(f"expected a list of {shape[0]}, got {spec!r}")
+    return tuple(_field_grid(s, shape[1:]) for s in spec)
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Matrix, drift, codrift and potential fields.
+    """Matrix, drift, codrift and potential fields, and the mass density.
 
     The set is immutable and mesh independent: it carries no
     certificate.  Ellipticity is certified per mesh, from samples
-    (certify, assemble).
+    (certify, assemble), of every field but rho.  rho is 1 unless
+    pullback sets it; make and from_config never do, shifted keeps it.
     """
 
     a: tuple                      # 2x2 of ScalarField
     drift: tuple                  # 2 of ScalarField
     codrift: tuple                # 2 of ScalarField
     a0: ScalarField
+    rho: ScalarField = ScalarField(1.0)
 
     @classmethod
     def make(cls, a=((1.0, 0.0), (0.0, 1.0)), drift=(0.0, 0.0),
@@ -124,8 +129,8 @@ class CoefficientSet:
         """Parse the JSON coefficient block.
 
         Keys: "a" (2x2 of expressions), "drift" (2 of expressions),
-        "a0" (expression).  Omitted keys default to the identity matrix
-        and zero; codrift is set equal to drift.
+        "a0" (expression), or built fields.  Omitted keys default to the
+        identity matrix and zero; codrift is set equal to drift.
         """
         a = block.get("a", [["1", "0"], ["0", "1"]])
         drift = block.get("drift", ["0", "0"])
@@ -245,16 +250,16 @@ class Diffeo:
         """Jacobian matrices and determinants at arrays of points.
 
         Returns (J, det) with shapes (..., 2, 2) and (...).  Raises
-        SingularJacobianError unless every determinant is > 0 (a NaN
-        determinant fails).
+        SingularJacobianError unless every determinant is finite, > 0.
         """
         J = self.jacobian(np.asarray(xs, dtype=float),
                           np.asarray(ys, dtype=float))
         det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
         if not np.all(det > 0):
+            low = float(np.min(det))           # NaN when any det is NaN
             raise SingularJacobianError(
-                f"Jacobian determinant min {float(np.min(det)):.6e} <= 0"
-            )
+                f"Jacobian determinant min {low:.6e} <= 0" if np.isfinite(low)
+                else "Jacobian determinant is not finite")
         return J, det
 
 
@@ -416,10 +421,14 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
         drift     (DPhi drift) / det
         codrift   (DPhi codrift) / det
         potential a0 / det
+        density   rho / det
 
-    The nine fields are slots of one function of the points: it calls
+    The density keeps the volume pairing, and with it the whole
+    spectral-parameter family, equal to the untransported one.
+
+    The ten fields are slots of one function of the points: it calls
     phi.jacobian_batch once and samples each field of c once, computes
-    all nine values, and keeps them with copies of the points of its
+    all ten values, and keeps them with copies of the points of its
     latest call.  A field evaluated at points equal in value to those
     reads its slot, so sampling the whole set costs one transport.
 
@@ -437,31 +446,17 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
             return memo[0][2]
         J, det = phi.jacobian_batch(xs, ys)
         a, drift, codrift, a0 = _sample_fields(c, xs, ys)
+        rho = c.rho.eval_batch(xs, ys)
         g = J @ np.moveaxis(a, (0, 1), (-2, -1)) @ np.swapaxes(J, -1, -2)
         values = [g[..., i, j] / det for i in range(2) for j in range(2)]
         for v in (drift, codrift):
             Jv = J @ np.moveaxis(v, 0, -1)[..., None]
             values += [Jv[..., i, 0] / det for i in range(2)]
-        values.append(a0 / det)
+        values += [a0 / det, rho / det]
         memo[:] = [(xs.copy(), ys.copy(), values)]
         return values
 
     f = [ScalarField(lambda xs, ys, k=k: transported(xs, ys)[k].copy())
-         for k in range(9)]
+         for k in range(10)]
     return CoefficientSet(a=((f[0], f[1]), (f[2], f[3])), drift=(f[4], f[5]),
-                          codrift=(f[6], f[7]), a0=f[8])
-
-
-def mass_weight(phi: Diffeo) -> ScalarField:
-    """Reciprocal Jacobian determinant as a field on reference points.
-
-    Weighting the mass form of a transported assembly by this field
-    keeps the volume pairing equal to the untransported one, so the
-    whole spectral-parameter family of the transported system matches.
-    """
-
-    def rho(xs, ys):
-        _, det = phi.jacobian_batch(xs, ys)
-        return 1.0 / det
-
-    return ScalarField(rho)
+                          codrift=(f[6], f[7]), a0=f[8], rho=f[9])

@@ -210,7 +210,7 @@ def _make_mesh(vertices, triangles, boundary_parent=None, extracted=None):
 def check_mesh(mesh: Mesh) -> None:
     """Validate structural invariants; raise MeshInvariantError on failure.
 
-    Checks: vertex indices in range, positive triangle areas, every
+    Checks: vertex indices in range, finite positive triangle areas, every
     edge shared by exactly one (boundary) or two (interior) triangles
     with opposite orientation, and boundary edges forming closed loops.
     """
@@ -225,10 +225,11 @@ def _check_mesh(mesh, keys):
     _check_indices("boundary edges", mesh.boundary_edges, nv)
     areas = _signed_areas(mesh.vertices, mesh.triangles)
     if not np.all(areas > 0):
-        bad = int(np.argmin(areas))
+        bad = int(np.argmin(areas))        # the first NaN area, if any
         raise MeshInvariantError(
             f"triangle {bad} has nonpositive signed area {areas[bad]:.3e}"
-        )
+            if np.isfinite(areas[bad]) else
+            f"triangle {bad} has a signed area that is not finite")
     directed = _directed_keys(mesh.triangles, nv)
     if keys is None:
         keys, duplicated = _sorted_distinct(directed)

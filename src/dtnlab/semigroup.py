@@ -77,9 +77,9 @@ def build_semigroup(sys: AssembledSystem) -> BoundarySemigroup:
     """Diagonalize the boundary pair (S(0), Bb restricted to gamma1).
 
     For the semigroup of S(lambda), build it from the system assembled
-    with c.shifted(-lambda): without a mass_weight that system's A is
-    A - lambda*M, and the order reports then check their hypotheses on
-    the operator that generates the semigroup.
+    with c.shifted(-lambda): for unit density (every set but a pullback)
+    its A is A - lambda*M, and the order reports then check their
+    hypotheses on the operator that generates the semigroup.
     """
     d = dtn_matrix(sys, 0.0)
     spec = sym_geneig(d.S, d.Bb, d.S.shape[0])

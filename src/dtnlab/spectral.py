@@ -20,13 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import AssembledSystem, assemble, dirichlet_system, robin_matrix
-from .coeffs import (
-    CoefficientSet,
-    Diffeo,
-    mass_weight,
-    pullback,
-    validate_diffeo,
-)
+from .coeffs import CoefficientSet, Diffeo, pullback, validate_diffeo
 from .dtn import dtn_matrix, harmonic_extension
 from .errors import (
     EmptyInteriorError,
@@ -743,17 +737,17 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     """Refinement study of a boundary-fixed change of variables.
 
     At each level the original coefficients are assembled on the level
-    mesh, and the transported coefficients on the transported mesh
-    (same boundary).  Both the Schur-complement defect over lambda_list
-    and the worst Robin eigenvalue gap over mu_list are tabulated; both
-    shrink under refinement since the two discretizations share their
-    continuum limit.  Also reports the conjugation residual of the
-    intertwiner built from two identical inputs as a baseline.  Before
-    anything is assembled, validate_diffeo checks phi on the finest
-    mesh (SingularJacobianError when it moves the boundary, folds or
-    disagrees with its Jacobian).  Raises ValueError when the
-    coefficient samples on a level mesh are not symmetric (the
-    transport needs a symmetric set).
+    mesh, and pullback(c, phi), density included, on the transported
+    mesh (same boundary).  Both the Schur-complement defect over
+    lambda_list and the worst Robin eigenvalue gap over mu_list are
+    tabulated; both shrink under refinement since the two
+    discretizations share their continuum limit.  Also reports the
+    conjugation residual of the intertwiner built from two identical
+    inputs as a baseline.  Before anything is assembled, validate_diffeo
+    checks phi on the finest mesh (SingularJacobianError when it moves
+    the boundary, folds or disagrees with its Jacobian).  Raises
+    ValueError when the coefficient samples on a level mesh are not
+    symmetric (the transport needs a symmetric set).
     """
     meshes = [mesh0]
     parts = [part0]
@@ -761,6 +755,7 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
         meshes.append(refine(meshes[-1]))
         parts.append(refine_partition(parts[-1], meshes[-1]))
     validate_diffeo(phi, meshes[-1])
+    b = pullback(c, phi)
 
     h_list, defects, max_gaps = [], [], []
     identity_residual = None
@@ -769,9 +764,7 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
         if not sysA.symmetric:
             raise ValueError("pullback requires a symmetric coefficient set")
         mesh_t = map_vertices(mesh_i, phi.forward)
-        b = pullback(c, phi)
-        sysB = assemble(mesh_t, part_i, b, sample_mesh=mesh_i,
-                        mass_weight=mass_weight(phi))
+        sysB = assemble(mesh_t, part_i, b, sample_mesh=mesh_i)
         defect = dtn_equality_check(sysA, sysB, lambda_list)
         gap = 0.0
         for mu in mu_list:

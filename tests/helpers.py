@@ -30,6 +30,18 @@ from dtnlab.mesh import (
 )
 from dtnlab.spectral import sym_geneig
 
+# a tiny square for CLI runs
+FAST_CONFIG = {
+    "name": "tiny",
+    "domain": {"type": "square", "n": 6},
+    "gamma0": {"type": "sides", "sides": ["left"]},
+    "lambda_grid": {"gaps": 2},
+    "mu_grid": {"min": -5.0, "max": 5.0, "steps": 11},
+    "k": 3,
+    "trials": 5,
+    "seed": 0,
+}
+
 
 def square_system(n=8, gamma0_sides=("left",), coeffs=None, lumped=False):
     mesh = build_structured_square(n)

@@ -8,16 +8,7 @@ from dtnlab import __version__, semigroup
 from dtnlab.cli import DEFAULT_CONFIG, resolve_config, run
 from dtnlab.errors import ConfigError
 
-FAST_CONFIG = {
-    "name": "tiny",
-    "domain": {"type": "square", "n": 6},
-    "gamma0": {"type": "sides", "sides": ["left"]},
-    "lambda_grid": {"gaps": 2},
-    "mu_grid": {"min": -5.0, "max": 5.0, "steps": 11},
-    "k": 3,
-    "trials": 5,
-    "seed": 0,
-}
+from helpers import FAST_CONFIG
 
 
 @pytest.fixture()
@@ -210,6 +201,13 @@ def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
     *(("gauge", {"gauge": {"diffeo": {"type": kind, "radius": radius}}},
        "gauge.diffeo")
       for kind in ("radial_bump", "twist") for radius in (0.0, -0.3)),
+    # a parse error, a short list, an extra entry and a boolean entry
+    ("validate", {"coefficients": {"a0": "x +"}}, "coefficients.a0"),
+    ("validate", {"coefficients": {"drift": ["1"]}}, "coefficients.drift"),
+    ("validate", {"coefficients": {"a": [["1", "0", "5"], ["0", "1"]]}},
+     "coefficients.a"),
+    ("validate", {"coefficients": {"a": [["1", "0"], ["0", True]]}},
+     "coefficients.a"),
 ])
 def test_config_value_out_of_range_exits_two(tmp_path, capsys, command, bad,
                                              key):

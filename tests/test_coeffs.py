@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dtnlab.coeffs as coeffs_module
-from dtnlab.assemble import assemble
+from dtnlab.assemble import _triangle_geometry, assemble
 from dtnlab.coeffs import (
     CoefficientSet,
     Diffeo,
     ScalarField,
     bump_diffeo,
     certify,
-    mass_weight,
     pullback,
     quadrature_points,
     radial_bump_diffeo,
@@ -304,7 +304,7 @@ def test_weak_form_transport_identity(phi_factory, mesh8):
 
 
 def _fields(c):
-    return [*c.a[0], *c.a[1], *c.drift, *c.codrift, c.a0]
+    return [*c.a[0], *c.a[1], *c.drift, *c.codrift, c.a0, c.rho]
 
 
 def test_pullback_samples_each_field_and_the_jacobian_once(mesh8):
@@ -363,7 +363,7 @@ def test_nan_jacobian_determinant_is_refused(mesh8):
         return J
 
     pts = quadrature_points(mesh8)
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError, match="is not finite"):
         Diffeo(lambda xs, ys: (xs, ys), jacobian).jacobian_batch(
             pts[..., 0], pts[..., 1])
 
@@ -412,9 +412,47 @@ def test_mass_weight_compensates_jacobian():
         certify(c, mesh)
         plain = assemble(mesh, part, c)
         moved = map_vertices(mesh, phi.forward)
-        weighted = assemble(moved, part, c, sample_mesh=mesh,
-                            mass_weight=mass_weight(phi))
+        weighted = assemble(moved, part, pullback(c, phi), sample_mesh=mesh)
         one = np.ones(plain.n_free)
         errors.append(abs(one @ (weighted.M @ one) - one @ (plain.M @ one)))
     assert errors[0] < 0.01
     assert errors[0] / errors[1] > 3.0
+
+
+def test_transported_assembly_calls_the_jacobian_once(mesh8):
+    # the density is a slot of the one transport, not a second sampling
+    phi = radial_bump_diffeo()
+    calls = []
+
+    def jacobian(xs, ys):
+        calls.append(xs.shape)
+        return phi.jacobian(xs, ys)
+
+    b = pullback(variable_coeffs(), Diffeo(phi.forward, jacobian))
+    part = partition_boundary(mesh8, lambda x, y: False)
+    moved = map_vertices(mesh8, phi.forward)
+    sys_ = assemble(moved, part, b, sample_mesh=mesh8)
+    assert calls == [quadrature_points(mesh8).shape[:2]]
+    # and M carries the density: its total is the sum of area/3 * 1/det
+    pts = quadrature_points(mesh8)
+    _, det = phi.jacobian_batch(pts[..., 0], pts[..., 1])
+    area = _triangle_geometry(moved)[1]
+    one = np.ones(sys_.n_free)
+    assert one @ (sys_.M @ one) == pytest.approx(
+        np.sum(area[:, None] / 3.0 / det), rel=1e-13)
+
+
+def test_mass_density_is_one_unless_pulled_back(mesh8):
+    pts = quadrature_points(mesh8)
+    xs, ys = pts[..., 0], pts[..., 1]
+    c, phi = variable_coeffs(), radial_bump_diffeo()
+    for plain in (c, c.shifted(2.0), CoefficientSet.from_config({})):
+        assert np.array_equal(plain.rho.eval_batch(xs, ys), np.ones(xs.shape))
+    b = pullback(c, phi)
+    _, det = phi.jacobian_batch(xs, ys)
+    assert b.rho.eval_batch(xs, ys).tobytes() == (1.0 / det).tobytes()
+    assert b.shifted(-3.0).rho is b.rho
+    # a set with its own density: the pullback's is rho / det
+    dense = replace(c, rho=ScalarField(lambda x, y: 2.0 + x))
+    assert np.array_equal(pullback(dense, phi).rho.eval_batch(xs, ys),
+                          (2.0 + xs) / det)
