@@ -83,6 +83,10 @@ DEFAULT_CONFIG = {
 
 # besides its default's kind; an expression may be written as a number
 _ALSO_ALLOWED = {"lambda_grid": "array", "coefficients.a0": "number"}
+# keys the builders read without a default, with their JSON kind
+_OPTIONAL_KINDS = {"domain.h": "number", "domain.sides": "number",
+                   "domain.radius": "number", "domain.vertices": "array",
+                   "gamma0.edges": "array"}
 _NUMBER_ARRAYS = {"lambda_grid", "mu_limit", "t_grid", "gauge.mu",
                   "gauge.lambda"}
 # bool before number: bool subclasses int
@@ -96,42 +100,53 @@ def _json_kind(value):
 
 
 def _check_kinds(config, defaults, prefix=""):
-    """ConfigError unless each key of config that has a default is of the
-    default's JSON kind, nested objects included."""
-    for key, default in defaults.items():
-        if key not in config:
+    """ConfigError unless each key of config is known, by a default or an
+    _OPTIONAL_KINDS entry, and of that JSON kind, nested objects included.
+    Unknown keys of gauge.diffeo are left to its factory, which refuses
+    them."""
+    for key, value in config.items():
+        name = prefix + key
+        if key in defaults:
+            want = _json_kind(defaults[key])
+        elif name in _OPTIONAL_KINDS:
+            want = _OPTIONAL_KINDS[name]
+        elif prefix == "gauge.diffeo.":
             continue
-        name, value = prefix + key, config[key]
+        else:
+            raise ConfigError(f"config key {name!r}: unknown key")
         kind = _json_kind(value)
-        if kind not in (_json_kind(default), _ALSO_ALLOWED.get(name)):
+        if kind not in (want, _ALSO_ALLOWED.get(name)):
             raise ConfigError(f"config key {name!r} must be a JSON "
-                              f"{_json_kind(default)}, not {kind}")
+                              f"{want}, not {kind}")
         if kind == "object":
-            _check_kinds(value, default, name + ".")
+            _check_kinds(value, defaults[key], name + ".")
         elif name in _NUMBER_ARRAYS and kind == "array" and any(
                 _json_kind(v) != "number" for v in value):
             raise ConfigError(f"config key {name!r} must be a JSON array "
                               f"of numbers")
 
 
-# the smallest usable value of each count: below it a run fails, or a
-# PASS line is left with nothing to check
-_MINIMA = {"k": 1, "trials": 1, "lambda_grid.gaps": 1, "mu_grid.steps": 2,
-           "gauge.refinements": 1, "gauge.k": 1}
+# the smallest usable value of each count, which must be a whole number:
+# below it a run fails, or a PASS line is left with nothing to check
+_MINIMA = {"k": 1, "trials": 1, "seed": 0, "lambda_grid.gaps": 1,
+           "mu_grid.steps": 2, "domain.n": 1, "domain.sides": 3,
+           "gauge.base_n": 1, "gauge.refinements": 1, "gauge.k": 1}
 
 
 def _check_ranges(config):
-    """ConfigError naming the key of a count below its _MINIMA entry, an
-    empty lambda_grid array or t_grid, a negative t, or a mu_limit that
-    is not at least two strictly decreasing negative numbers."""
+    """ConfigError naming the key of a count that is not a whole number at
+    least its _MINIMA entry, an empty lambda_grid array or t_grid, a
+    negative t, or a mu_limit that is not at least two strictly
+    decreasing negative numbers."""
     def out_of_range(name, requirement):
         return ConfigError(f"config key {name!r}: must be {requirement}")
 
     for name, low in _MINIMA.items():
         head, _, key = name.rpartition(".")
         block = config.get(head) if head else config
-        if isinstance(block, dict) and block.get(key, low) < low:
-            raise out_of_range(name, f"at least {low}")
+        value = block.get(key, low) if isinstance(block, dict) else low
+        if not (isinstance(value, int) or value.is_integer()) or value < low:
+            raise out_of_range(name, f"a whole number, at least {low}")
     if config["lambda_grid"] == []:
         raise out_of_range("lambda_grid", "a nonempty array")
     mu = config["mu_limit"]
@@ -198,7 +213,11 @@ def build_domain(config):
                       int(dom.get("sides", 64)), float(dom.get("radius", 1.0)))
         h = float(dom.get("h", 0.1))
     elif kind == "polygon":
-        poly = np.asarray(dom["vertices"], dtype=float)
+        poly = _built("domain.vertices", np.asarray, dom.get("vertices", []),
+                      float)
+        if poly.ndim != 2 or poly.shape[1:] != (2,) or len(poly) < 3:
+            raise ConfigError("config key 'domain.vertices': must be an "
+                              "array of at least three [x, y] pairs")
         h = float(dom.get("h", 0.25))
     else:
         raise ConfigError(f"unknown domain type {kind!r}")
@@ -216,7 +235,8 @@ def build_selector(config, poly):
     if kind == "polygon_edges":
         if poly is None:
             raise ConfigError("polygon_edges selector needs a polygon domain")
-        return polygon_edge_selector(poly, g0.get("edges", []))
+        return _built("gamma0.edges", polygon_edge_selector, poly,
+                      g0.get("edges", []))
     raise ConfigError(f"unknown gamma0 selector type {kind!r}")
 
 
@@ -227,7 +247,7 @@ def build_coefficients(config):
     shapes = {"a": (2, 2), "drift": (2,), "a0": ()}
     return CoefficientSet.from_config({
         key: _built(f"coefficients.{key}", _field_grid, spec, shapes[key])
-        for key, spec in config["coefficients"].items() if key in shapes})
+        for key, spec in config["coefficients"].items()})
 
 
 def build_problem(config):

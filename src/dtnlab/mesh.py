@@ -102,7 +102,6 @@ class BoundaryPartition:
 
 @dataclass(frozen=True)
 class MeshQuality:
-    min_angle_deg: float
     max_angle_deg: float
     nonobtuse: bool
 
@@ -255,7 +254,7 @@ def _check_mesh(mesh, keys):
 
 
 def quality(mesh: Mesh) -> MeshQuality:
-    """Smallest and largest interior angle over all triangles (degrees)."""
+    """Largest interior angle (degrees) and whether no triangle is obtuse."""
     v = mesh.vertices
     t = mesh.triangles
     angles = []
@@ -272,7 +271,6 @@ def quality(mesh: Mesh) -> MeshQuality:
     angles = np.concatenate(angles)
     max_angle = float(np.max(angles))
     return MeshQuality(
-        min_angle_deg=float(np.min(angles)),
         max_angle_deg=max_angle,
         nonobtuse=max_angle <= 90.0 + 1e-9,
     )
@@ -547,11 +545,17 @@ def square_side_selector(sides):
 def polygon_edge_selector(polygon, edge_indices):
     """Midpoint predicate matching whole sides of a polygon.
 
-    edge_indices refer to the polygon sides (vertex i to vertex i+1).
+    edge_indices refer to the polygon sides (vertex i to vertex i+1);
+    ValueError unless each is an integer in 0..m-1 for m sides.
     """
     poly = np.asarray(polygon, dtype=np.float64)
     m = len(poly)
-    chosen = [(poly[i % m], poly[(i + 1) % m]) for i in edge_indices]
+    bad = [i for i in edge_indices if isinstance(i, bool)
+           or not isinstance(i, (int, np.integer)) or not 0 <= i < m]
+    if bad:
+        raise ValueError(f"edge indices must be integers in 0..{m - 1}, "
+                         f"not {bad}")
+    chosen = [(poly[i], poly[(i + 1) % m]) for i in edge_indices]
     scale = float(np.max(np.abs(poly))) + 1.0
     tol = 1e-10 * scale
 

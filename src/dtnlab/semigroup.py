@@ -67,7 +67,6 @@ class OrderReport:
 
     check: str
     min_entry: float
-    max_entry: float
     violation: float
     verdict: str                   # PASS / WARN / FAIL
     rows: tuple                    # (check, t, trial, min, max, violation, verdict)
@@ -176,7 +175,7 @@ def _order_report(check, sgs, t_list, trials, seed, sample,
     violation is at most TOL_POS times max(phi), and FAILs otherwise
     only when every semigroup is in the strict configuration (WARN
     elsewhere).  The report's verdict is its worst row verdict; its
-    entries are the extremes of the last semigroup's evolutions.
+    min_entry is the smallest entry of the last semigroup's evolutions.
     """
     rng = np.random.default_rng(seed)
     n_full = len(sgs[0].full_boundary_vertices)
@@ -194,7 +193,6 @@ def _order_report(check, sgs, t_list, trials, seed, sample,
     return OrderReport(
         check,
         min((r[3] for r in rows), default=np.inf),
-        max((r[4] for r in rows), default=-np.inf),
         max((r[5] for r in rows), default=0.0),
         max((r[6] for r in rows), key=_VERDICTS.index, default="PASS"),
         tuple(rows))

@@ -6,13 +6,13 @@ assembled system, parameter sweeps of the Robin eigenvalue curves, the
 strong-coupling limit toward the Dirichlet spectrum, the algebraic
 duality between boundary eigenpairs of (S(lambda), Bb) and Robin
 eigenpairs at the matching parameter, and gauge experiments comparing
-two systems with equal boundary data (eigenvalue matching, unitary
-intertwiner on computed eigenspaces, trace subspace angles).
+two systems with equal boundary data (eigenvalue matching and a
+unitary intertwiner on computed eigenspaces, applied, never formed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -124,14 +124,9 @@ class MatchReport:
     """Comparison of two systems' Robin spectra at one parameter."""
 
     gaps: np.ndarray
-    cluster_sizes_a: tuple
-    cluster_sizes_b: tuple
     multiplicity_match: bool
     orthogonality_defect: float
     conjugation_residual: float
-    principal_angles: tuple        # max angle per matched cluster (radians)
-    ambiguous_clusters: tuple      # clusters of size > 1 (pairing reported)
-    U: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -608,38 +603,29 @@ def _check_compatible(sysA: AssembledSystem, sysB: AssembledSystem):
 
 
 def match_and_unitary(sysA: AssembledSystem, sysB: AssembledSystem,
-                      mu: float, k: int,
-                      build_unitary: bool = True) -> MatchReport:
+                      mu: float, k: int) -> MatchReport:
     """Pair the two Robin spectra by index and intertwine eigenbases.
 
-    The map U sends the i-th A-eigenvector to the i-th B-eigenvector
-    (U = Psi Phi^T M_A on the computed subspace, where the columns of
-    Phi and Psi are mass-orthonormal).  Reported: per-index eigenvalue
-    gaps, cluster size agreement, the orthogonality defect of U on the
-    computed subspace, the conjugation residual (how well A-eigenvalues
-    act as B-eigenvalues on the mapped vectors) and principal angles
-    between boundary-trace subspaces of matched clusters.  Clusters of
-    size > 1 make the within-cluster pairing ambiguous; they are
-    reported, never silently resolved.
+    The intertwiner U = Psi Phi^T M_A sends the i-th A-eigenvector to the
+    i-th B-eigenvector (the columns of Phi and Psi are mass-orthonormal).
+    It is applied, never formed: its action on the computed subspace is
+    W = U Phi = Psi (Phi^T M_A Phi), a k x k product.  Reported: per-index
+    eigenvalue gaps, whether both spectra split into clusters of the same
+    sizes, the orthogonality defect max |W^T M_B W - I| and the
+    conjugation residual (how well A-eigenvalues act as B-eigenvalues on
+    the B-eigenvectors).
     """
     _check_compatible(sysA, sysB)
     specA = robin_spectrum(sysA, mu, k)
     specB = robin_spectrum(sysB, mu, k)
     gaps = np.abs(specA.eigenvalues - specB.eigenvalues)
-    ca = cluster_indices(specA.eigenvalues)
-    cb = cluster_indices(specB.eigenvalues)
-    sizes_a = tuple(len(g) for g in ca)
-    sizes_b = tuple(len(g) for g in cb)
-    ambiguous = tuple(tuple(g) for g in ca if len(g) > 1)
+    sizes_a, sizes_b = ([len(g) for g in cluster_indices(s.eigenvalues)]
+                        for s in (specA, specB))
 
     Phi = specA.eigenvectors
     Psi = specB.eigenvectors
     M_B = sysB.M
-    U = None
-    W = Psi  # U @ Phi equals Psi up to solver defect when U is built
-    if build_unitary:
-        U = Psi @ (sysA.M @ Phi).T
-        W = U @ Phi
+    W = Psi @ (Phi.T @ (sysA.M @ Phi))
     G = W.T @ (M_B @ W)
     orthogonality_defect = float(np.abs(G - np.eye(k)).max())
 
@@ -653,41 +639,12 @@ def match_and_unitary(sysA: AssembledSystem, sysB: AssembledSystem,
         s = scaleB + abs(lam_a) * M_norm
         conj = max(conj, float(np.linalg.norm(r)
                                / (s * np.linalg.norm(Psi[:, i]))))
-
-    bd = sysA.boundary_dofs
-    Bb = sysA.B[bd, :][:, bd].toarray()
-    angles = []
-    if sizes_a == sizes_b:
-        for ga in ca:
-            Ta = Phi[bd][:, ga]
-            Tb = Psi[bd][:, ga]
-            try:
-                qa = _orthonormalize(Ta, Bb)
-                qb = _orthonormalize(Tb, Bb)
-            except scipy.linalg.LinAlgError:
-                angles.append(float("nan"))
-                continue
-            sv = scipy.linalg.svd(qa.T @ (Bb @ qb), compute_uv=False)
-            sv = np.clip(sv, -1.0, 1.0)
-            angles.append(float(np.max(np.arccos(sv))))
     return MatchReport(
         gaps=gaps,
-        cluster_sizes_a=sizes_a,
-        cluster_sizes_b=sizes_b,
         multiplicity_match=(sizes_a == sizes_b),
         orthogonality_defect=orthogonality_defect,
         conjugation_residual=conj,
-        principal_angles=tuple(angles),
-        ambiguous_clusters=ambiguous,
-        U=U,
     )
-
-
-def _orthonormalize(T, G):
-    """G-orthonormal basis of the column span of T (Cholesky of the Gram)."""
-    gram = T.T @ (G @ T)
-    L = scipy.linalg.cholesky(gram, lower=True)
-    return scipy.linalg.solve_triangular(L, T.T, lower=True).T
 
 
 def dtn_equality_check(sysA: AssembledSystem, sysB: AssembledSystem,
@@ -742,7 +699,7 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     lambda_list and the worst Robin eigenvalue gap over mu_list are
     tabulated; both shrink under refinement since the two
     discretizations share their continuum limit.  Also reports the
-    conjugation residual of the intertwiner built from two identical
+    conjugation residual of the intertwiner between two identical
     inputs as a baseline.  Before anything is assembled, validate_diffeo
     checks phi on the finest mesh (SingularJacobianError when it moves
     the boundary, folds or disagrees with its Jacobian).  Raises
@@ -768,7 +725,7 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
         defect = dtn_equality_check(sysA, sysB, lambda_list)
         gap = 0.0
         for mu in mu_list:
-            rep = match_and_unitary(sysA, sysB, mu, k, build_unitary=False)
+            rep = match_and_unitary(sysA, sysB, mu, k)
             gap = max(gap, float(rep.gaps.max()))
         if identity_residual is None:
             rep0 = match_and_unitary(sysA, sysA, float(mu_list[0]), k)

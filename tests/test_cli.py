@@ -163,6 +163,11 @@ def test_bad_domain_type_exits_two(tmp_path):
     ("spectrum", {"lambda_grid": ["a"]}),
     ("curves", {"mu_grid": {"min": "x"}}),
     ("validate", {"domain": {"n": "big"}}),
+    # keys the builders read without a default
+    ("validate", {"domain": {"h": "abc", "type": "lshape"}}),
+    ("validate", {"domain": {"sides": "x", "type": "regular_polygon"}}),
+    ("validate", {"domain": {"vertices": 3, "type": "polygon"}}),
+    ("validate", {"gamma0": {"edges": "ab", "type": "polygon_edges"}}),
 ])
 def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
                                                    command, bad):
@@ -208,6 +213,37 @@ def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
      "coefficients.a"),
     ("validate", {"coefficients": {"a": [["1", "0"], ["0", True]]}},
      "coefficients.a"),
+    # unknown keys, at every level but gauge.diffeo
+    ("validate", {"domian": {"n": 4}}, "domian"),
+    ("validate", {"coefficients": {"codrift": ["x", "0"], "A0": "5"}},
+     "coefficients.codrift"),
+    ("validate", {"coefficients": {"A0": "5"}}, "coefficients.A0"),
+    ("gauge", {"gauge": {"lamda": [1.0]}}, "gauge.lamda"),
+    # polygon domains and edge lists
+    ("validate", {"domain": {"type": "polygon"}}, "domain.vertices"),
+    ("validate", {"domain": {"type": "polygon", "vertices": [0, 1, 2]}},
+     "domain.vertices"),
+    ("validate", {"domain": {"type": "polygon",
+                             "vertices": [[0, 0], [1, 0], [0, "a"]]}},
+     "domain.vertices"),
+    *(("validate", {"domain": {"type": "lshape", "h": 0.5},
+                    "gamma0": {"type": "polygon_edges", "edges": edges}},
+       "gamma0.edges")
+      for edges in (["a"], [99], [-1], [6], [True], [0.5])),
+    # counts that are not whole numbers, and a negative seed
+    ("spectrum", {"k": 2.5, "domain": {"type": "square", "n": 4}}, "k"),
+    ("spectrum", {"domain": {"type": "square", "n": 4.7}}, "domain.n"),
+    ("semigroup", {"trials": 1.5}, "trials"),
+    ("semigroup", {"seed": 0.5}, "seed"),
+    ("semigroup", {"seed": -1}, "seed"),
+    ("duality", {"lambda_grid": {"gaps": 1.5}}, "lambda_grid.gaps"),
+    ("curves", {"mu_grid": {"steps": 10.5}}, "mu_grid.steps"),
+    ("validate", {"domain": {"type": "regular_polygon", "sides": 6.5}},
+     "domain.sides"),
+    ("gauge", {"gauge": {"base_n": 4.5}}, "gauge.base_n"),
+    ("gauge", {"gauge": {"refinements": 1.5}}, "gauge.refinements"),
+    ("gauge", {"gauge": {"k": 3.5}}, "gauge.k"),
+    ("spectrum", {"k": float("inf")}, "k"),
 ])
 def test_config_value_out_of_range_exits_two(tmp_path, capsys, command, bad,
                                              key):

@@ -78,3 +78,35 @@ def test_scan_finds_an_unreferenced_definition():
 def test_every_definition_is_reached_from_the_package():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_definitions(sources) == sorted(ENTRY_POINTS)
+
+
+def unread_fields(sources, readers):
+    """(module, class, field) of each annotated field of a class in
+    sources (module name -> source) that no code in readers reads as an
+    attribute."""
+    read = {n.attr for src in readers for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(
+        (module, cls.name, stmt.target.id)
+        for module, src in sources.items()
+        for cls in ast.walk(ast.parse(src)) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read)
+
+
+def test_scan_finds_an_unread_field():
+    record = "class R:\n    x: int\n    y: float = 0.0\n    z = 1\n"
+    assert unread_fields({"a": record}, [
+        record, "def f(r):\n    r.y = r.z\n    return R(x=1)\n",
+    ]) == [("a", "R", "x"), ("a", "R", "y")]
+    assert unread_fields({"a": record}, ["print(r.x, r.y)\n"]) == []
+
+
+def test_every_record_field_is_read():
+    root = SRC.parents[1]
+    readers = [p.read_text() for folder in ("src", "tests", "bench", "tools")
+               for p in (root / folder).rglob("*.py")]
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_fields(sources, readers) == []

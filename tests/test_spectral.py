@@ -2,6 +2,7 @@
 
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -438,21 +439,41 @@ def test_match_identical_systems():
     assert rep.multiplicity_match
     assert rep.orthogonality_defect <= 1e-8
     assert rep.conjugation_residual <= 1e-10
-    # U acts as the identity on the computed eigenvectors up to sign
-    spec = robin_spectrum(sys_, 0.0, 5)
-    W = rep.U @ spec.eigenvectors
-    M = sys_.M
-    for i in range(5):
-        overlap = abs(W[:, i] @ (M @ spec.eigenvectors[:, i]))
-        assert overlap == pytest.approx(1.0, abs=1e-8)
 
 
 def test_match_detects_potential_shift():
     sys_ = square_system(n=8, gamma0_sides=("left",))
     c_up = CoefficientSet.make(a0=1.0)
     sys_up = square_system(n=8, gamma0_sides=("left",), coeffs=c_up)
-    rep = match_and_unitary(sys_, sys_up, 0.0, 5, build_unitary=False)
+    rep = match_and_unitary(sys_, sys_up, 0.0, 5)
     np.testing.assert_allclose(rep.gaps, 1.0, atol=1e-10)
+
+
+def test_orthogonality_defect_equals_that_of_a_dense_intertwiner():
+    sys_ = square_system(n=8, gamma0_sides=("left",))
+    sys_up = square_system(n=8, gamma0_sides=("left",),
+                           coeffs=CoefficientSet.make(a0=1.0))
+    rep = match_and_unitary(sys_, sys_up, 0.0, 5)
+    Phi = robin_spectrum(sys_, 0.0, 5).eigenvectors
+    Psi = robin_spectrum(sys_up, 0.0, 5).eigenvectors
+    U = Psi @ (sys_.M @ Phi).T                  # n_free x n_free
+    W = U @ Phi
+    dense = np.abs(W.T @ (sys_up.M @ W) - np.eye(5)).max()
+    assert U.shape == (sys_.n_free, sys_.n_free)
+    assert rep.orthogonality_defect == pytest.approx(dense, abs=1e-12)
+
+
+def test_match_never_forms_a_dense_intertwiner():
+    sys_ = square_system(n=32, gamma0_sides=("left",))
+    n_free = sys_.n_free
+    assert n_free == 1056
+    tracemalloc.start()
+    try:
+        match_and_unitary(sys_, sys_, 0.0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_free**2 * 8 / 2         # half of one dense U
 
 
 def test_match_dimension_mismatch():
