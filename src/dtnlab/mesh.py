@@ -468,13 +468,18 @@ def refine(mesh: Mesh) -> Mesh:
     vertices = np.vstack([mesh.vertices,
                           0.5 * (mesh.vertices[new_ends[:, 0]]
                                  + mesh.vertices[new_ends[:, 1]])])
+    split_keys = keys[first]
+    # drop the per-edge work arrays before the boundary pass and the mesh
+    # checks, which set the peak memory of a refine
+    del ends, keys, order, sorted_keys, starts, firsts, by_first, first
+    del rank, mid, mab, mbc, mca, new_ends
     boundary, directed_keys = _extract_boundary(triangles, len(vertices))
 
     # every refined boundary edge joins a midpoint to a parent vertex
     new_vertex = np.where(boundary[:, 0] >= nv, boundary[:, 0], boundary[:, 1])
     if np.any(new_vertex < nv):
         raise MeshInvariantError("refined boundary edge has no parent")
-    split = keys[first][new_vertex - nv]
+    split = split_keys[new_vertex - nv]
     parent_keys = _edge_keys(mesh.boundary_edges, nv)
     by_key = np.argsort(parent_keys)
     if not np.all(_contains(parent_keys[by_key], split)):
