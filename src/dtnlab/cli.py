@@ -59,7 +59,9 @@ from .spectral import (
 )
 from .util import config_hash
 
-_SIDE_ORDER = ("left", "bottom", "right", "top")
+# the unit square's sides and midpoints, in the order _tilde_gamma0 tries them
+_SIDE_ORDER = {"left": (0.0, 0.5), "bottom": (0.5, 0.0),
+               "right": (1.0, 0.5), "top": (0.5, 1.0)}
 
 DEFAULT_CONFIG = {
     "name": "square-default",
@@ -420,19 +422,22 @@ def cmd_limit(config, rep: Reporter) -> bool:
 
 
 def _tilde_gamma0(config, poly):
-    """A strictly larger gamma0 for the domination study."""
-    g0 = config["gamma0"]
-    kind = g0.get("type", "none")
-    if kind in ("none", "sides") and config["domain"]["type"] == "square":
-        sides = list(g0.get("sides", [])) if kind == "sides" else []
-        extra = next(s for s in _SIDE_ORDER if s not in sides)
-        return square_side_selector(sides + [extra])
+    """For the domination study: the configured gamma0 selector OR the
+    first side whose midpoint it rejects, a unit-square side in
+    _SIDE_ORDER when poly is None, else a polygon side.  The configured
+    gamma0 is contained in the result by construction."""
+    selector = build_selector(config, poly)
     if poly is None:
+        sides = [(mid, square_side_selector([name]))
+                 for name, mid in _SIDE_ORDER.items()]
+    else:
+        m = len(poly)
+        sides = [(0.5 * (poly[i] + poly[(i + 1) % m]),
+                  polygon_edge_selector(poly, [i])) for i in range(m)]
+    extra = next((side for mid, side in sides if not selector(*mid)), None)
+    if extra is None:
         raise ConfigError("cannot build a nested partition for this domain")
-    edges = list(g0.get("edges", [])) if kind == "polygon_edges" else []
-    m = len(poly)
-    extra = next(i for i in range(m) if i not in edges)
-    return polygon_edge_selector(poly, edges + [extra])
+    return lambda x, y: selector(x, y) or extra(x, y)
 
 
 def cmd_semigroup(config, rep: Reporter) -> bool:

@@ -3,6 +3,13 @@
 Meshes are immutable after construction.  Boundary edges are stored as
 directed vertex pairs with the domain on the left, so the outward
 normal of edge (a, b) is the edge direction rotated by -90 degrees.
+Each constructor states the boundary it builds, and check_mesh verifies
+it against the triangles before the mesh is returned:
+build_structured_square lists one counter-clockwise loop (bottom, right,
+top, left), build_polygon_mesh the polygon sides (i, i+1 mod m), refine
+the halves (p, m), (m, q) of each parent edge (p, q) in parent order,
+and map_vertices the boundary of the mesh it moves.
+
 A BoundaryPartition splits the boundary edges into a closed part
 (gamma0, where traces are constrained to zero) and its complement
 (gamma1).  A vertex incident to any gamma0 edge is constrained; in
@@ -11,12 +18,11 @@ constrained (closure convention).
 
 Edges are matched as integers: a directed edge (a, b) has the key
 a * nv + b and an undirected one lo * nv + hi, for nv vertices.
-Boundary extraction sorts the directed keys of a new mesh once, and the
-mesh check reuses them; refinement sorts the undirected keys.  Lookups
-use searchsorted, so no step walks the edges in Python.  Directed keys
-are formed from the triangle columns and edges are recovered from them
-by divmod, so neither extraction nor the check builds a (3 nt, 2) array
-of all edges.
+check_mesh sorts the directed keys of the triangles once; refine sorts
+the undirected keys.  Lookups use searchsorted, so no step walks the
+edges in Python.  Directed keys are formed from the triangle columns
+and edges are recovered from them by divmod, so the check builds no
+(3 nt, 2) array of all edges.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ class Mesh:
     """Triangulation: vertex coordinates, CCW triangles, boundary edges.
 
     boundary_parent maps each boundary edge to the boundary edge of the
-    parent mesh it was split from (set by refine, None otherwise).
+    parent mesh it was split from (set by refine and kept by
+    map_vertices, None otherwise).
     """
 
     vertices: np.ndarray          # (nv, 2) float
@@ -158,22 +165,6 @@ def _contains(sorted_keys, queries):
     return sorted_keys[pos] == queries
 
 
-def _extract_boundary(triangles, nv):
-    """(boundary, keys): the directed boundary edges, those whose reverse
-    does not occur, and the sorted keys of all directed edges.
-
-    The edges come in the order of _directed_keys.
-    """
-    _check_indices("triangles", triangles, nv)
-    directed = _directed_keys(triangles, nv)
-    keys, duplicated = _sorted_distinct(directed)
-    if duplicated:
-        raise MeshInvariantError("duplicate directed edge (orientation defect)")
-    reverse = _directed_keys(triangles, nv, reverse=True)
-    outer = directed[~_contains(keys, reverse)]
-    return np.column_stack(divmod(outer, nv)), keys
-
-
 def _h_max(vertices, triangles):
     """Longest triangle edge, measured one edge column at a time."""
     return max(float(np.max(np.linalg.norm(
@@ -187,38 +178,29 @@ def _freeze(arr):
     return arr
 
 
-def _make_mesh(vertices, triangles, boundary_parent=None, extracted=None):
-    """Frozen, checked Mesh; extracted is _extract_boundary(triangles, nv)
-    when the caller has already computed it."""
+def _make_mesh(vertices, triangles, boundary, boundary_parent=None):
+    """Frozen Mesh with the stated boundary edges, once check_mesh passes."""
     vertices = np.asarray(vertices, dtype=np.float64)
     triangles = np.asarray(triangles, dtype=np.int64)
-    if extracted is None:
-        extracted = _extract_boundary(triangles, len(vertices))
-    boundary, keys = extracted
+    _check_indices("triangles", triangles, len(vertices))   # before _h_max
     mesh = Mesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
-        boundary_edges=_freeze(boundary),
+        boundary_edges=_freeze(np.asarray(boundary, dtype=np.int64)),
         h_max=_h_max(vertices, triangles),
         boundary_parent=None if boundary_parent is None else _freeze(boundary_parent),
     )
-    _check_mesh(mesh, keys)
+    check_mesh(mesh)
     return mesh
 
 
 def check_mesh(mesh: Mesh) -> None:
     """Validate structural invariants; raise MeshInvariantError on failure.
 
-    Checks: vertex indices in range, finite positive triangle areas, every
-    edge shared by exactly one (boundary) or two (interior) triangles
-    with opposite orientation, and boundary edges forming closed loops.
+    Checks: vertex indices in range, finite positive triangle areas, no
+    directed edge twice (orientation), and the listed boundary edges being
+    closed loops of exactly the triangle edges whose reverse is no edge.
     """
-    _check_mesh(mesh, None)
-
-
-def _check_mesh(mesh, keys):
-    """check_mesh, given the sorted distinct directed edge keys of the
-    triangles (from _extract_boundary), or None to sort them here."""
     nv = mesh.num_vertices
     _check_indices("triangles", mesh.triangles, nv)
     _check_indices("boundary edges", mesh.boundary_edges, nv)
@@ -230,12 +212,10 @@ def _check_mesh(mesh, keys):
             if np.isfinite(areas[bad]) else
             f"triangle {bad} has a signed area that is not finite")
     directed = _directed_keys(mesh.triangles, nv)
-    if keys is None:
-        keys, duplicated = _sorted_distinct(directed)
-        if duplicated:
-            raise MeshInvariantError("duplicate directed edge (orientation defect)")
-    listed, _ = _sorted_distinct(mesh.boundary_edges[:, 0] * nv
-                                 + mesh.boundary_edges[:, 1])
+    keys, duplicated = _sorted_distinct(directed)
+    if duplicated:
+        raise MeshInvariantError("duplicate directed edge (orientation defect)")
+    listed = np.sort(mesh.boundary_edges[:, 0] * nv + mesh.boundary_edges[:, 1])
     has_reverse = _contains(keys, _directed_keys(mesh.triangles, nv,
                                                  reverse=True))
     is_listed = _contains(listed, directed)
@@ -245,12 +225,15 @@ def _check_mesh(mesh, keys):
         if np.any(bad):
             edge = divmod(int(directed[np.argmax(bad)]), nv)
             raise MeshInvariantError(message.format(edge))
-    # closed loops: each boundary vertex has exactly one in and one out edge
-    out_deg = np.bincount(listed // nv, minlength=nv)
-    in_deg = np.bincount(listed % nv, minlength=nv)
+    # closed loops: one in and one out edge per boundary vertex, as listed
+    out_deg = np.bincount(mesh.boundary_edges[:, 0], minlength=nv)
+    in_deg = np.bincount(mesh.boundary_edges[:, 1], minlength=nv)
     if np.any(out_deg > 1) or np.any(in_deg > 1) \
             or np.any((out_deg > 0) != (in_deg > 0)):
         raise MeshInvariantError("boundary edges do not form closed loops")
+    # every boundary edge of a triangle is listed; any more are no edges
+    if mesh.num_boundary_edges > np.count_nonzero(~has_reverse):
+        raise MeshInvariantError("boundary list holds an edge of no triangle")
 
 
 def quality(mesh: Mesh) -> MeshQuality:
@@ -295,7 +278,11 @@ def build_structured_square(n: int) -> Mesh:
         for j in range(n):
             triangles.append([idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)])
             triangles.append([idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)])
-    return _make_mesh(vertices, triangles)
+    # counter-clockwise from (0, 0): bottom, right, top, left
+    k = np.arange(n)
+    loop = np.concatenate([idx(k, 0), idx(n, k), idx(n - k, n), idx(0, n - k)])
+    return _make_mesh(vertices, triangles,
+                      np.column_stack([loop, np.roll(loop, -1)]))
 
 
 def regular_polygon(n_sides: int, radius: float = 1.0) -> np.ndarray:
@@ -312,14 +299,16 @@ def lshape_polygon() -> np.ndarray:
                      (1.0, 1.0), (1.0, 2.0), (0.0, 2.0)])
 
 
-def _segments_properly_intersect(p1, p2, q1, q2):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _orient(a, b, c):
+    """Twice the signed area of the triangle abc (positive if CCW)."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+
+def _segments_properly_intersect(p1, p2, q1, q2):
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
         return True
     # collinear overlap counts as an intersection too
@@ -370,11 +359,8 @@ def _is_convex(poly):
 
 
 def _point_in_triangle(p, a, b, c, eps):
-    def orient(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
-
-    return (orient(a, b, p) > eps and orient(b, c, p) > eps
-            and orient(c, a, p) > eps)
+    return (_orient(a, b, p) > eps and _orient(b, c, p) > eps
+            and _orient(c, a, p) > eps)
 
 
 def _ear_clip(poly):
@@ -432,7 +418,9 @@ def build_polygon_mesh(polygon, h_target: float) -> Mesh:
     else:
         vertices = poly
         triangles = _ear_clip(poly)
-    mesh = _make_mesh(vertices, triangles)
+    sides = np.arange(m)
+    mesh = _make_mesh(vertices, triangles,
+                      np.column_stack([sides, np.roll(sides, -1)]))
     while mesh.h_max > 2.0 * h_target:
         mesh = refine(mesh)
     return mesh
@@ -441,8 +429,9 @@ def build_polygon_mesh(polygon, h_target: float) -> Mesh:
 def refine(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 via edge midpoints.
 
-    h_max halves, boundary edges split in two and remember their parent
-    (boundary_parent), so partitions transfer with refine_partition.
+    h_max halves.  Boundary edge (p, q) becomes (p, m), (m, q) at its
+    midpoint m, in parent order; boundary_parent names each half's parent
+    edge, so partitions transfer with refine_partition.
     """
     nv = mesh.num_vertices
     tri = mesh.triangles
@@ -468,25 +457,17 @@ def refine(mesh: Mesh) -> Mesh:
     vertices = np.vstack([mesh.vertices,
                           0.5 * (mesh.vertices[new_ends[:, 0]]
                                  + mesh.vertices[new_ends[:, 1]])])
-    split_keys = keys[first]
-    # drop the per-edge work arrays before the boundary pass and the mesh
-    # checks, which set the peak memory of a refine
+    # the midpoint of each parent boundary edge, found among the sorted keys
+    m = mid[order[np.searchsorted(sorted_keys,
+                                  _edge_keys(mesh.boundary_edges, nv))]]
+    p, q = mesh.boundary_edges.T
+    boundary = np.column_stack([p, m, m, q]).reshape(-1, 2)
+    # drop the per-edge work arrays before the mesh check, which sets the
+    # peak memory of a refine
     del ends, keys, order, sorted_keys, starts, firsts, by_first, first
     del rank, mid, mab, mbc, mca, new_ends
-    boundary, directed_keys = _extract_boundary(triangles, len(vertices))
-
-    # every refined boundary edge joins a midpoint to a parent vertex
-    new_vertex = np.where(boundary[:, 0] >= nv, boundary[:, 0], boundary[:, 1])
-    if np.any(new_vertex < nv):
-        raise MeshInvariantError("refined boundary edge has no parent")
-    split = split_keys[new_vertex - nv]
-    parent_keys = _edge_keys(mesh.boundary_edges, nv)
-    by_key = np.argsort(parent_keys)
-    if not np.all(_contains(parent_keys[by_key], split)):
-        raise MeshInvariantError("refined boundary edge has no parent")
-    boundary_parent = by_key[np.searchsorted(parent_keys[by_key], split)]
-    return _make_mesh(vertices, triangles, boundary_parent=boundary_parent,
-                      extracted=(boundary, directed_keys))
+    return _make_mesh(vertices, triangles, boundary,
+                      np.repeat(np.arange(len(m)), 2))
 
 
 def _partition_from_flags(mesh: Mesh, flags) -> BoundaryPartition:
@@ -584,6 +565,5 @@ def map_vertices(mesh: Mesh, fn) -> Mesh:
     vertex is sent to NaN.
     """
     moved = np.column_stack(fn(*mesh.vertices.T)).astype(np.float64)
-    return _make_mesh(moved, mesh.triangles.copy(),
-                      boundary_parent=None if mesh.boundary_parent is None
-                      else mesh.boundary_parent.copy())
+    return _make_mesh(moved, mesh.triangles, mesh.boundary_edges,
+                      mesh.boundary_parent)

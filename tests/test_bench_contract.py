@@ -1,6 +1,6 @@
 """Every name the benchmark tracer patches must exist in the package,
-every workload config must pass the config checks, and a traced run of
-every subcommand must complete.
+every workload config must pass the config checks and build its mesh and
+partition, and a traced run of every subcommand must complete.
 
 bench/tracer.py replaces the functions listed in its TRACED table by
 name, and its hooks read fields of what those functions return; a
@@ -19,7 +19,7 @@ import sys
 import pytest
 
 import dtnlab
-from dtnlab.cli import _COMMANDS, resolve_config
+from dtnlab.cli import _COMMANDS, build_problem, resolve_config
 
 from helpers import FAST_CONFIG
 
@@ -51,10 +51,14 @@ _WORKLOADS = _bench_module("workloads").WORKLOADS
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_workload_config_resolves(tmp_path, workload):
-    # each workload's config passes the kind and range checks
+    # each workload's config passes the kind and range checks, and its
+    # mesh (checked against its triangles as it is built) and partition
+    # build
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_WORKLOADS[workload]["config"]))
-    resolve_config(str(path))
+    mesh, _, part, _ = build_problem(resolve_config(str(path)))
+    assert part.num_gamma0 > 0
+    assert mesh.num_boundary_edges == part.num_gamma0 + part.num_gamma1
 
 
 def test_traced_run_of_every_subcommand_completes(tmp_path):

@@ -2,11 +2,20 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dtnlab import __version__, semigroup
-from dtnlab.cli import DEFAULT_CONFIG, resolve_config, run
+from dtnlab.cli import (
+    _COMMANDS,
+    DEFAULT_CONFIG,
+    _tilde_gamma0,
+    build_problem,
+    resolve_config,
+    run,
+)
 from dtnlab.errors import ConfigError
+from dtnlab.mesh import partition_boundary
 
 from helpers import FAST_CONFIG
 
@@ -128,6 +137,76 @@ def test_semigroup_subcommand_builds_each_semigroup_once(tmp_path,
     assert run(["semigroup", "--config", fast_config,
                 "--out", str(tmp_path / "r"), "--quiet"]) == 0
     assert len(calls) == 3
+
+
+def _resolved(tmp_path, **overrides):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(FAST_CONFIG, **overrides)))
+    return resolve_config(str(path))
+
+
+@pytest.mark.parametrize("domain, gamma0, on_added_side", [
+    ({"type": "square", "n": 4}, {"type": "none"},
+     lambda x, y: x == 0.0),
+    ({"type": "square", "n": 4}, {"type": "sides", "sides": ["left"]},
+     lambda x, y: y == 0.0),
+    # square sides on a polygon: left is side 5, so side 0 is added
+    ({"type": "lshape", "h": 0.5}, {"type": "sides", "sides": ["left"]},
+     lambda x, y: y == 0.0),
+    ({"type": "lshape", "h": 0.5}, {"type": "polygon_edges", "edges": [0]},
+     lambda x, y: x == 2.0),
+    ({"type": "regular_polygon", "sides": 12, "h": 0.5},
+     {"type": "polygon_edges", "edges": [0, 1]},
+     lambda x, y: abs(np.arctan2(y, x) - 2.5 * np.pi / 6) < np.pi / 12),
+], ids=["square-none", "square-sides", "lshape-sides", "lshape-edges",
+        "polygon-edges"])
+def test_tilde_gamma0_adds_one_side_to_the_configured_gamma0(
+        tmp_path, domain, gamma0, on_added_side):
+    config = _resolved(tmp_path, domain=domain, gamma0=gamma0)
+    mesh, poly, part, _ = build_problem(config)
+    tilde = partition_boundary(mesh, _tilde_gamma0(config, poly))
+    added = np.setdiff1d(tilde.gamma0_edges, part.gamma0_edges)
+    assert set(part.gamma0_edges) <= set(tilde.gamma0_edges)
+    assert len(added) > 0
+    mids = 0.5 * (mesh.vertices[mesh.boundary_edges[added, 0]]
+                  + mesh.vertices[mesh.boundary_edges[added, 1]])
+    assert all(on_added_side(x, y) for x, y in np.round(mids, 12))
+
+
+def test_tilde_gamma0_refuses_when_every_side_midpoint_is_taken(tmp_path):
+    # the midpoints (0, 0), (1, 1), (0, 1) all lie on the left or right
+    # side lines, though most of sides 0 and 2 do not
+    config = _resolved(tmp_path, domain={
+        "type": "polygon", "vertices": [[-1, 0], [1, 0], [1, 2]], "h": 0.5},
+        gamma0={"type": "sides", "sides": ["left", "right"]})
+    _, poly, _, _ = build_problem(config)
+    with pytest.raises(ConfigError, match="nested partition"):
+        _tilde_gamma0(config, poly)
+
+
+def test_semigroup_on_lshape_with_square_sides_runs(tmp_path, capsys):
+    config = _resolved(tmp_path, domain={"type": "lshape", "h": 0.5},
+                       gamma0={"type": "sides", "sides": ["left"]})
+    path = tmp_path / "lshape.json"
+    path.write_text(json.dumps(config))
+    assert run(["semigroup", "--config", str(path),
+                "--out", str(tmp_path / "o")]) in (0, 1)
+    assert "PASS: domination" in capsys.readouterr().out
+
+
+def test_all_runs_every_subcommand_in_order(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        FAST_CONFIG, gauge={"base_n": 4, "refinements": 1})))
+    alone = [run([name, "--config", str(path), "--out", str(tmp_path / name),
+                  "--quiet"]) for name in _COMMANDS]
+    capsys.readouterr()
+    code = run(["all", "--config", str(path), "--out", str(tmp_path / "all")])
+    headers = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("== ")]
+    assert headers == [f"== {name} ==" for name in _COMMANDS]
+    assert (code == 0) == all(c == 0 for c in alone)
+    assert code in (0, 1)
 
 
 def test_resolve_config_merges_defaults():

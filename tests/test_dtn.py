@@ -38,6 +38,24 @@ def mixed16():
     return square_system(n=16, gamma0_sides=("left",))
 
 
+def test_system_without_interior_dofs(monkeypatch):
+    # square n = 1 with no gamma0: all four vertices are boundary dofs
+    from dtnlab import spectral
+
+    sys_ = square_system(n=1, gamma0_sides=())
+    assert len(sys_.interior_dofs) == 0
+    monkeypatch.setattr(spectral, "eigenvalue_count",
+                        lambda *args: pytest.fail("inertia count made"))
+    assert sys_.dirichlet_positive is True
+    d = dtn_matrix(sys_, 0.0)
+    assert d.lu is None
+    phi = np.array([[1.0, 0.5], [-2.0, 0.0], [0.25, 3.0], [4.0, -1.0]])
+    for data in (phi, phi[:, 0]):
+        ext = harmonic_extension(d, data)
+        assert np.array_equal(ext.u[sys_.boundary_dofs], data)
+        assert ext.residual_interior == 0.0
+
+
 def test_extension_of_zero_is_zero(mixed16):
     ext = harmonic_extension(dtn_matrix(mixed16, 0.0),
                              np.zeros(len(mixed16.boundary_dofs)))

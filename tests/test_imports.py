@@ -44,7 +44,6 @@ def test_no_unused_imports(path):
 # it stays in the package
 ENTRY_POINTS = {
     ("cli", "main"): "the console script of pyproject.toml",
-    ("mesh", "check_mesh"): "the public validator of hand-built Mesh records",
 }
 
 

@@ -250,20 +250,23 @@ def _dict_refine(vertices, triangles, boundary_edges):
         new_triangles.extend(
             [[a, mab, mca], [b, mbc, mab], [c, mca, mbc], [mab, mbc, mca]])
     triangles = np.array(new_triangles, dtype=np.int64)
-    boundary = _dict_extract_boundary(triangles)
-    parent_of = {(min(a, b), max(a, b)): i
-                 for i, (a, b) in enumerate(boundary_edges)}
-    midpoint_parent = {v: parent_of[key] for key, v in midpoint_index.items()
-                       if key in parent_of}
-    parent = np.array([midpoint_parent[a if a >= nv else b]
-                       for a, b in boundary], dtype=np.int64)
+    # each parent edge (a, b) gives its halves (a, m), (m, b), in order
+    boundary = np.array([half for a, b in boundary_edges
+                         for half in ((a, mid(a, b)), (mid(a, b), b))],
+                        dtype=np.int64).reshape(-1, 2)
+    parent = np.array([i for i in range(len(boundary_edges)) for _ in "ab"],
+                      dtype=np.int64)
     return np.vstack(new_vertices), triangles, boundary, parent
+
+
+def _edge_set(edges):
+    return set(map(tuple, np.asarray(edges).tolist()))
 
 
 def _assert_refined_like_reference(coarse, fine, times):
     vertices, triangles = coarse.vertices, coarse.triangles
-    boundary = _dict_extract_boundary(triangles)
-    assert np.array_equal(boundary, coarse.boundary_edges)
+    boundary = coarse.boundary_edges
+    assert _edge_set(boundary) == _edge_set(_dict_extract_boundary(triangles))
     parent = None
     for _ in range(times):
         vertices, triangles, boundary, parent = _dict_refine(
@@ -293,18 +296,6 @@ def test_polygon_mesh_matches_dict_reference(polygon, h, times):
     _assert_refined_like_reference(coarse, fine, times)
 
 
-def test_refine_extracts_the_boundary_once(monkeypatch):
-    import dtnlab.mesh as mesh_module
-
-    coarse = build_structured_square(4)
-    calls = []
-    real = mesh_module._extract_boundary
-    monkeypatch.setattr(mesh_module, "_extract_boundary",
-                        lambda *args: calls.append(1) or real(*args))
-    refine(coarse)
-    assert len(calls) == 1
-
-
 def test_refine_sorts_the_directed_edge_keys_once(monkeypatch):
     import dtnlab.mesh as mesh_module
 
@@ -315,6 +306,76 @@ def test_refine_sorts_the_directed_edge_keys_once(monkeypatch):
                         lambda keys: sizes.append(len(keys)) or real(keys))
     fine = refine(coarse)
     assert sizes.count(3 * fine.num_triangles) == 1
+
+
+# stated boundaries: what each constructor lists, and in which order -------
+
+
+_STATED = {
+    "square": lambda: build_structured_square(3),
+    "fan": lambda: build_polygon_mesh(regular_polygon(6), 100.0),
+    "ear_clipped": lambda: build_polygon_mesh(lshape_polygon(), 100.0),
+    "clockwise": lambda: build_polygon_mesh(lshape_polygon()[::-1], 100.0),
+    "refined": lambda: refine(refine(build_structured_square(3))),
+    "mapped": lambda: map_vertices(refine(build_structured_square(3)),
+                                   lambda x, y: (x + 0.1 * x * y, y)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATED))
+def test_stated_boundary_is_the_one_the_triangles_imply(name):
+    m = _STATED[name]()
+    assert len(m.boundary_edges) == len(_edge_set(m.boundary_edges))
+    assert _edge_set(m.boundary_edges) \
+        == _edge_set(_dict_extract_boundary(m.triangles))
+
+
+def test_square_boundary_is_one_counter_clockwise_loop():
+    n = 3
+    m = build_structured_square(n)
+    edges = m.boundary_edges
+    assert np.array_equal(edges[1:, 0], edges[:-1, 1])     # chained
+    assert edges[-1, 1] == edges[0, 0]                     # closed
+    assert m.vertices[edges[0, 0]].tolist() == [0.0, 0.0]
+    mids = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
+    on_side = [mids[:, 1] == 0.0, mids[:, 0] == 1.0,
+               mids[:, 1] == 1.0, mids[:, 0] == 0.0]
+    for side, on in enumerate(on_side):    # bottom, right, top, left
+        assert np.flatnonzero(on).tolist() == list(range(side * n,
+                                                          (side + 1) * n))
+
+
+@pytest.mark.parametrize("polygon, ccw", [
+    (regular_polygon(6), regular_polygon(6)),
+    (lshape_polygon(), lshape_polygon()),
+    (lshape_polygon()[::-1], lshape_polygon()),
+], ids=["fan", "ear_clipped", "clockwise"])
+def test_polygon_boundary_is_its_ccw_sides_in_order(polygon, ccw):
+    m = build_polygon_mesh(polygon, 100.0)
+    sides = len(polygon)
+    assert np.array_equal(m.vertices[:sides], ccw)
+    assert m.boundary_edges.tolist() \
+        == [[i, (i + 1) % sides] for i in range(sides)]
+
+
+def _interior_edge(m):
+    listed = _edge_set(m.boundary_edges)
+    return next(e for e in _dict_edges(m.triangles).tolist()
+                if tuple(e) not in listed)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.boundary_edges[::-1, ::-1], "missing from list"),
+    (lambda m: m.boundary_edges[1:], "missing from list"),
+    (lambda m: np.vstack([m.boundary_edges, _interior_edge(m)]),
+     "labeled boundary"),
+], ids=["reversed_loop", "dropped_edge", "interior_edge_added"])
+def test_make_mesh_rejects_a_wrong_stated_boundary(edit, message):
+    import dtnlab.mesh as mesh_module
+
+    m = build_structured_square(3)
+    with pytest.raises(MeshInvariantError, match=message):
+        mesh_module._make_mesh(m.vertices, m.triangles, edit(m))
 
 
 # check_mesh: one corrupted field per failure branch ------------------------
@@ -368,4 +429,24 @@ def test_check_mesh_rejects_vertex_index_out_of_range():
     bad = dataclasses.replace(
         m, boundary_edges=np.vstack([m.boundary_edges, stray]))
     with pytest.raises(MeshInvariantError, match="outside"):
+        check_mesh(bad)
+
+
+def test_check_mesh_rejects_a_boundary_edge_listed_twice():
+    m = build_structured_square(2)
+    bad = dataclasses.replace(
+        m, boundary_edges=np.vstack([m.boundary_edges, m.boundary_edges[:1]]))
+    with pytest.raises(MeshInvariantError, match="closed loops"):
+        check_mesh(bad)
+
+
+def test_check_mesh_rejects_a_listed_loop_of_no_triangle_edges():
+    # 6 = (1/3, 2/3) and 9 = (2/3, 1/3) are interior, and no triangle
+    # holds the anti-diagonal between them
+    m = build_structured_square(3)
+    loop = np.array([[6, 9], [9, 6]])
+    assert not any(set(tri) >= {6, 9} for tri in m.triangles.tolist())
+    bad = dataclasses.replace(
+        m, boundary_edges=np.vstack([m.boundary_edges, loop]))
+    with pytest.raises(MeshInvariantError, match="edge of no triangle"):
         check_mesh(bad)

@@ -192,6 +192,12 @@ def test_eigenvalue_count_rejects_indefinite_G():
         eigenvalue_count(np.eye(3), np.diag([-1.0, 1.0, 1.0]), 0.5)
 
 
+def test_eigenvalue_count_refuses_a_singular_shift():
+    # diag(1, 2, 3) - 2 I is singular, so no inertia count exists
+    with pytest.raises(SolverError, match=r"^no inertia count at 2\.0$"):
+        eigenvalue_count(np.diag([1.0, 2.0, 3.0]), np.eye(3), 2.0)
+
+
 def count_factorizations(monkeypatch, of=None):
     """Record every _ldl call (only those whose argument equals `of`, if
     given)."""
