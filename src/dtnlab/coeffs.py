@@ -121,10 +121,6 @@ class CoefficientSet:
         )
 
     @classmethod
-    def identity(cls):
-        return cls.make()
-
-    @classmethod
     def from_config(cls, block: dict):
         """Parse the JSON coefficient block.
 

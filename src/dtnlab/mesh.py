@@ -197,13 +197,19 @@ def _make_mesh(vertices, triangles, boundary, boundary_parent=None):
 def check_mesh(mesh: Mesh) -> None:
     """Validate structural invariants; raise MeshInvariantError on failure.
 
-    Checks: vertex indices in range, finite positive triangle areas, no
-    directed edge twice (orientation), and the listed boundary edges being
-    closed loops of exactly the triangle edges whose reverse is no edge.
+    Checks: vertex indices in range, each vertex in a triangle, finite
+    positive triangle areas, no directed edge twice (orientation), and the
+    listed boundary edges being closed loops of exactly the triangle edges
+    whose reverse is no edge.
     """
     nv = mesh.num_vertices
     _check_indices("triangles", mesh.triangles, nv)
     _check_indices("boundary edges", mesh.boundary_edges, nv)
+    used = np.zeros(nv, dtype=bool)       # a mask, 1 byte per vertex
+    used[mesh.triangles] = True
+    if not used.all():
+        raise MeshInvariantError(f"vertex {np.argmin(used)} is in no triangle")
+    del used
     areas = _signed_areas(mesh.vertices, mesh.triangles)
     if not np.all(areas > 0):
         bad = int(np.argmin(areas))        # the first NaN area, if any
@@ -561,9 +567,12 @@ def polygon_edge_selector(polygon, edge_indices):
 def map_vertices(mesh: Mesh, fn) -> Mesh:
     """Move all vertices by one call fn(xs, ys) -> (xs', ys'), topology kept.
 
-    Raises MeshInvariantError if any triangle flips orientation or a
-    vertex is sent to NaN.
+    Raises MeshInvariantError if fn returns another number of points, any
+    triangle flips orientation or a vertex is sent to NaN.
     """
     moved = np.column_stack(fn(*mesh.vertices.T)).astype(np.float64)
+    if moved.shape != mesh.vertices.shape:
+        raise MeshInvariantError(f"vertex map returned shape {moved.shape} "
+                                 f"for {mesh.num_vertices} vertices")
     return _make_mesh(moved, mesh.triangles, mesh.boundary_edges,
                       mesh.boundary_parent)

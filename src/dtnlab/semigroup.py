@@ -149,12 +149,17 @@ def check_order_hypotheses(sys: AssembledSystem,
                 "0 lies in the discrete Dirichlet spectrum"
             )
     _a, drift, _codrift, a0 = sys.samples
-    if require_nonneg_potential and float(a0.min()) < -1e-12:
+    if require_nonneg_potential and float(a0.min()) < -_coef_tol(sys):
         raise HypothesisViolationError(
             f"potential must be nonnegative (min {float(a0.min()):.3e})"
         )
-    if require_zero_drift and float(np.abs(drift).max()) > 1e-12:
+    if require_zero_drift and float(np.abs(drift).max()) > _coef_tol(sys):
         raise HypothesisViolationError("drift must vanish")
+
+
+def _coef_tol(sys: AssembledSystem) -> float:
+    # 1e-12 relative to coeffs._certificate's coefficient scale 1 + max|a|
+    return 1e-12 * (1.0 + float(np.abs(sys.samples[0]).max()))
 
 
 def _strict_config(sg: BoundarySemigroup) -> bool:
@@ -253,19 +258,13 @@ def _same_mesh(a: AssembledSystem, b: AssembledSystem) -> bool:
 
 def _same_fields(a: AssembledSystem, b: AssembledSystem,
                  potential=True) -> bool:
-    """Whether the two systems were assembled from equal samples.
+    """Whether the two systems were assembled from identical samples.
 
     The matrix and the drift always, the potential on request; call
     after _same_mesh.
     """
-    fa, fb = a.samples, b.samples
-    if any(x.shape != y.shape for x, y in zip(fa, fb)):
-        return False
-    ok = (np.allclose(fa[1], fb[1], atol=1e-12)    # drift
-          and np.allclose(fa[0], fb[0], atol=1e-12))
-    if potential:
-        ok = ok and np.allclose(fa[3], fb[3], atol=1e-12)
-    return ok
+    fields = (0, 1, 3) if potential else (0, 1)   # a, drift, a0
+    return all(np.array_equal(a.samples[i], b.samples[i]) for i in fields)
 
 
 def domination_report(sgA: BoundarySemigroup, sgB: BoundarySemigroup,
@@ -309,7 +308,7 @@ def potential_monotonicity_report(sg_a: BoundarySemigroup,
         raise ValueError("potential comparison needs the same partition")
     if not _same_fields(sys_a, sys_b, potential=False):
         raise ValueError("matrix coefficient and drift must coincide")
-    if float((sys_b.samples[3] - sys_a.samples[3]).min()) < -1e-12:
+    if float((sys_b.samples[3] - sys_a.samples[3]).min()) < -_coef_tol(sys_a):
         raise ValueError("potential ordering violated: need b0 >= a0")
     check_order_hypotheses(sys_a, require_zero_drift=True)
     check_order_hypotheses(sys_b, require_zero_drift=True)

@@ -79,7 +79,7 @@ class Spectrum:
 
     eigenvalues: np.ndarray    # (k,)
     eigenvectors: np.ndarray   # (n, k)
-    residual_max: float
+    residual_max: float        # largest of _backward_errors
     solver: str
     inertia: int | None
 
@@ -206,7 +206,8 @@ def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"generalized eigensolver failed: {exc}") from exc
     return Spectrum(eigenvalues=vals, eigenvectors=vecs,
-                    residual_max=_residual_max(K, G, vals, vecs),
+                    residual_max=float(_backward_errors(K, G, vals,
+                                                        vecs).max()),
                     solver="dense", inertia=None)
 
 
@@ -234,11 +235,15 @@ def _symmetrized(name, mat):
     return 0.5 * (mat + mat.T)
 
 
-def _residual_max(K, G, vals, vecs):
-    K_scale = abs(K).max() or 1.0
+def _backward_errors(K, G, vals, vecs):
+    """||K x - lambda G x|| / ((max|K| + |lambda| max|G|) ||x||) for each
+    lambda of vals and column x of vecs: the normwise backward error of
+    Higham & Higham (SIAM J. Matrix Anal. Appl. 20, 1998), the one scale
+    of every eigenpair residual in the package (max|K| = 1 for K = 0).
+    """
     R = K @ vecs - (G @ vecs) * vals
-    return float(np.max(np.linalg.norm(R, axis=0)
-                        / (K_scale * np.linalg.norm(vecs, axis=0))))
+    scale = (abs(K).max() or 1.0) + np.abs(vals) * abs(G).max()
+    return np.linalg.norm(R, axis=0) / (scale * np.linalg.norm(vecs, axis=0))
 
 
 def _ldl(C):
@@ -399,8 +404,8 @@ def _sparse_geneig(K, mass, k, shift_hint):
         _, below = _ldl(K - point * G)
         if below == expected:
             return Spectrum(eigenvalues=vals[:k], eigenvectors=vecs[:, :k],
-                            residual_max=_residual_max(K, G, vals[:k],
-                                                       vecs[:, :k]),
+                            residual_max=float(_backward_errors(
+                                K, G, vals[:k], vecs[:, :k]).max()),
                             solver="sparse", inertia=below)
         reason = (f"inertia count {below} below {point!r}, "
                   f"expected {expected}")
@@ -474,15 +479,15 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     """Check the two-way eigenpair correspondence at boundary index j.
 
     Forward: the j-th boundary eigenpair (mu_j, phi_j) of (S(lam), Bb)
-    is extended into the domain and must satisfy
-    (A - lam M - mu_j B) u = 0 to solver tolerance.  Reverse: the Robin
-    pencil at mu_j must have an eigenvalue cluster at lam whose
-    eigenvectors restrict to boundary eigenvectors, with equal cluster
-    size (multiplicities agree).  j is 1-based.  For a sequence of
-    indices a list of results is returned; the Schur complement, the
-    boundary spectrum, the norm of A and the harmonic extensions are
-    computed once for all, and the extensions reuse the Schur
-    complement's interior factorization (one per call).
+    is extended into the domain as u, an eigenvector of the pencil
+    (A - lam M, B) at mu_j.  Reverse: the Robin pencil at mu_j must have
+    an eigenvalue cluster at lam whose eigenvectors restrict to
+    eigenvectors of (S(lam), Bb) at mu_j, with equal cluster size
+    (multiplicities agree).  Both residuals are _backward_errors.  j is
+    1-based.  For a sequence of indices a list of results is returned;
+    the Schur complement, the boundary spectrum and the harmonic
+    extensions are computed once for all, and the extensions reuse the
+    Schur complement's interior factorization (one per call).
     """
     js = list(j) if np.ndim(j) else [j]
     d = dtn_matrix(sys, lam)
@@ -492,16 +497,14 @@ def duality_check(sys: AssembledSystem, lam: float, j):
             raise ValueError(
                 f"boundary index j must be in [1, {b}], got {jj}")
     spec = sym_geneig(d.S, d.Bb, b)
-    A_norm = spla.norm(sys.A)
-    S_norm = np.abs(d.S).max() or 1.0
     tol_lam = CLUSTER_RTOL * max(1.0, abs(lam))
     cols = spec.eigenvectors[:, np.array(js, dtype=int) - 1]
-    exts = harmonic_extension(d, cols).u
+    exts = harmonic_extension(d, cols)
     results = []
-    for jj, u in zip(js, exts.T):
+    for i, jj in enumerate(js):
         mu_j = float(spec.eigenvalues[jj - 1])
-        residual = float(np.linalg.norm(d.C @ u - mu_j * (sys.B @ u))
-                         / (A_norm * np.linalg.norm(u)))
+        # from its own column, so that no other index can change it
+        residual = float(_backward_errors(d.C, sys.B, [mu_j], exts[:, [i]])[0])
 
         tol_mu = CLUSTER_RTOL * max(1.0, abs(mu_j))
         s_mult = int(np.sum(np.abs(spec.eigenvalues - mu_j) <= tol_mu))
@@ -510,12 +513,9 @@ def duality_check(sys: AssembledSystem, lam: float, j):
         r_mult = rvecs.shape[1]
         reverse = float("inf")
         if r_mult:
-            reverse = 0.0
-            for w in rvecs.T:
-                psi = w[sys.boundary_dofs]
-                rr = np.linalg.norm(d.S @ psi - mu_j * (d.Bb @ psi))
-                reverse = max(reverse,
-                              float(rr / (S_norm * np.linalg.norm(psi))))
+            reverse = float(_backward_errors(
+                d.S, d.Bb, np.full(r_mult, mu_j),
+                rvecs[sys.boundary_dofs]).max())
         results.append(DualityResult(
             mu=mu_j,
             residual=residual,
@@ -527,31 +527,37 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     return results if np.ndim(j) else results[0]
 
 
+def _robin_sweep(sys, mus, k):
+    """The k smallest Robin eigenvalues at each mu of a decreasing list.
+
+    They do not decrease as mu decreases, so each smallest eigenvalue is
+    the shift hint of the next solve (an inertia count checks it).
+    """
+    rows, hint = [], None
+    for mu in mus:
+        try:
+            rows.append(robin_spectrum(sys, mu, k,
+                                       shift_hint=hint).eigenvalues)
+        except Exception as exc:
+            raise SolverError(
+                f"Robin solve failed at mu={mu}: {exc}") from exc
+        hint = float(rows[-1][0])
+    return rows
+
+
 def eigen_curves(sys: AssembledSystem, mu_min: float, mu_max: float,
                  steps: int, k: int) -> EigenCurve:
     """Robin eigenvalue curves over a mu grid, paired by sorted index.
 
     Pairing by index keeps crossings inside clusters benign; each row
     must be non-increasing in mu, and the worst increase found is
-    reported (not raised).  The grid is solved from the largest mu down:
-    the curves are non-increasing, so each smallest eigenvalue bounds the
-    next pencil's spectrum from below and is its shift hint (an inertia
-    count checks it each time).
+    reported (not raised).  The grid is solved from the largest mu down
+    (see _robin_sweep).
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     grid = np.linspace(mu_min, mu_max, steps)
-    columns = [None] * steps
-    hint = None
-    for s in reversed(range(steps)):
-        try:
-            columns[s] = robin_spectrum(sys, grid[s], k,
-                                        shift_hint=hint).eigenvalues
-        except Exception as exc:
-            raise SolverError(
-                f"Robin solve failed at mu={grid[s]}: {exc}") from exc
-        hint = float(columns[s][0])
-    values = np.column_stack(columns)
+    values = np.column_stack(_robin_sweep(sys, grid[::-1], k)[::-1])
     max_violation = float(np.max(np.diff(values, axis=1)))
     return EigenCurve(mu_grid=grid, values=values,
                       max_violation=max_violation)
@@ -563,20 +569,13 @@ def dirichlet_limit_study(sys: AssembledSystem, k: int,
 
     Report-only: records whether every gap is positive, whether gaps
     shrink monotonically along the list, and whether they shrink by at
-    least a factor 5 per decade of |mu|.  The Robin eigenvalues do not
-    decrease as mu decreases, so each smallest eigenvalue is the shift
-    hint for the next mu (an inertia count checks it each time).
+    least a factor 5 per decade of |mu|.
     """
     mu_list = np.asarray(list(mu_list), dtype=float)
     if np.any(mu_list >= 0) or np.any(np.diff(mu_list) >= 0):
         raise ValueError("mu_list must be strictly decreasing negatives")
     dvals = dirichlet_spectrum(sys, k).eigenvalues
-    rows = []
-    hint = None
-    for mu in mu_list:
-        rows.append(robin_spectrum(sys, mu, k, shift_hint=hint).eigenvalues)
-        hint = float(rows[-1][0])
-    rvals = np.array(rows)
+    rvals = np.array(_robin_sweep(sys, mu_list, k))
     gaps = dvals[None, :] - rvals
     ratios = gaps[:-1] / gaps[1:]
     decades = np.log10(np.abs(mu_list[1:]) / np.abs(mu_list[:-1]))
@@ -612,8 +611,8 @@ def match_and_unitary(sysA: AssembledSystem, sysB: AssembledSystem,
     W = U Phi = Psi (Phi^T M_A Phi), a k x k product.  Reported: per-index
     eigenvalue gaps, whether both spectra split into clusters of the same
     sizes, the orthogonality defect max |W^T M_B W - I| and the
-    conjugation residual (how well A-eigenvalues act as B-eigenvalues on
-    the B-eigenvectors).
+    conjugation residual (the largest _backward_errors of A-eigenvalues
+    with B-eigenvectors in B's Robin pencil).
     """
     _check_compatible(sysA, sysB)
     specA = robin_spectrum(sysA, mu, k)
@@ -629,21 +628,13 @@ def match_and_unitary(sysA: AssembledSystem, sysB: AssembledSystem,
     G = W.T @ (M_B @ W)
     orthogonality_defect = float(np.abs(G - np.eye(k)).max())
 
-    A_mu_B = robin_matrix(sysB, mu)
-    scaleB = spla.norm(sysB.A) + abs(mu) * spla.norm(sysB.B)
-    M_norm = spla.norm(M_B)
-    conj = 0.0
-    for i in range(k):
-        lam_a = specA.eigenvalues[i]
-        r = A_mu_B @ Psi[:, i] - lam_a * (M_B @ Psi[:, i])
-        s = scaleB + abs(lam_a) * M_norm
-        conj = max(conj, float(np.linalg.norm(r)
-                               / (s * np.linalg.norm(Psi[:, i]))))
+    conj = _backward_errors(robin_matrix(sysB, mu), M_B,
+                            specA.eigenvalues, Psi)
     return MatchReport(
         gaps=gaps,
         multiplicity_match=(sizes_a == sizes_b),
         orthogonality_defect=orthogonality_defect,
-        conjugation_residual=conj,
+        conjugation_residual=float(conj.max()),
     )
 
 

@@ -50,7 +50,7 @@ def square_system(n=8, gamma0_sides=("left",), coeffs=None, lumped=False):
     else:
         selector = lambda x, y: False
     part = partition_boundary(mesh, selector)
-    c = coeffs if coeffs is not None else CoefficientSet.identity()
+    c = coeffs if coeffs is not None else CoefficientSet.make()
     certify(c, mesh)
     return assemble(mesh, part, c, lump_boundary_mass=lumped)
 
@@ -135,13 +135,13 @@ def decompose(d: DtnMatrix, u):
 
     Returns (u0, ext) where u0 lives on the interior dofs and ext is
     the harmonic extension (at the lambda of d) of the boundary trace of
-    u; the identity u = embed(u0) + ext.u holds exactly on the boundary
+    u; the identity u = embed(u0) + ext holds exactly on the boundary
     dofs and to roundoff elsewhere.
     """
     sys = d.sys
     u = np.asarray(u, dtype=float)
     ext = harmonic_extension(d, u[sys.boundary_dofs])
-    u0 = (u - ext.u)[sys.interior_dofs]
+    u0 = (u - ext)[sys.interior_dofs]
     return u0, ext
 
 
@@ -173,8 +173,8 @@ def coercivity_report(d: DtnMatrix) -> CoercivityReport:
     w = (1.1 * max(0.0, -float(nu[0]))
          + 1e-6 * np.linalg.norm(d.S, 1) / np.linalg.norm(d.Bb, 1))
     SW = d.S + w * d.Bb
-    E = harmonic_extension(d, np.eye(b)).u
-    H = assemble(sys.mesh, sys.part, CoefficientSet.identity()).A + sys.M
+    E = harmonic_extension(d, np.eye(b))
+    H = assemble(sys.mesh, sys.part, CoefficientSet.make()).A + sys.M
     delta = float(sym_geneig(SW, E.T @ (H @ E), 1).eigenvalues[0])
     m = float(np.max(np.abs(nu / (nu + w))))
     return CoercivityReport(w=float(w), delta=delta, m=m)

@@ -62,7 +62,7 @@ def _report(criterion, detail):
 
 def _coefficient_sets():
     return [
-        ("identity", CoefficientSet.identity),
+        ("identity", CoefficientSet.make),
         ("aniso", lambda: CoefficientSet.make(a=((2.0, 0.0), (0.0, 0.5)),
                                               a0=1.0)),
         ("variable", variable_coeffs),
@@ -139,7 +139,7 @@ def test_acceptance_1_duality():
 def test_acceptance_2_monotonicity():
     mesh = build_structured_square(16)
     part = partition_boundary(mesh, square_side_selector(["left"]))
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh)
     sys_ = assemble(mesh, part, c)
     curve = eigen_curves(sys_, -50.0, 50.0, 101, 5)
@@ -158,7 +158,7 @@ def test_acceptance_2_monotonicity():
 def test_acceptance_3_dirichlet_limit():
     mesh = build_structured_square(16)
     part = partition_boundary(mesh, lambda x, y: False)
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh)
     sys_ = assemble(mesh, part, c)
     study = dirichlet_limit_study(sys_, 4, [-1e2, -1e3, -1e4])
@@ -172,7 +172,7 @@ def test_acceptance_3_dirichlet_limit():
 def test_acceptance_4_analytic_spectra():
     mesh = build_structured_square(32)
     part = partition_boundary(mesh, lambda x, y: False)
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh)
     sys_ = assemble(mesh, part, c)
     dvals = dirichlet_spectrum(sys_, 3).eigenvalues
@@ -185,7 +185,7 @@ def test_acceptance_4_analytic_spectra():
 
     disk = build_polygon_mesh(regular_polygon(64), 0.05)
     dpart = partition_boundary(disk, lambda x, y: False)
-    dc = CoefficientSet.identity()
+    dc = CoefficientSet.make()
     certify(dc, disk)
     dsys = assemble(disk, dpart, dc)
     svals = steklov_spectrum(dsys, 0.0, 5).eigenvalues
@@ -201,10 +201,10 @@ def test_acceptance_5_semigroup_order():
     sys_free = assemble(
         build_structured_square(8),
         partition_boundary(build_structured_square(8), lambda x, y: False),
-        CoefficientSet.identity(), lump_boundary_mass=True)
+        CoefficientSet.make(), lump_boundary_mass=True)
     mesh = sys_free.mesh
     part_left = partition_boundary(mesh, square_side_selector(["left"]))
-    sys_left = assemble(mesh, part_left, CoefficientSet.identity(),
+    sys_left = assemble(mesh, part_left, CoefficientSet.make(),
                         lump_boundary_mass=True)
     sg_free = build_semigroup(sys_free)
     sg_left = build_semigroup(sys_left)
@@ -242,7 +242,7 @@ def test_acceptance_5_semigroup_order():
 def test_acceptance_6_gauge():
     base = build_structured_square(8)
     part = partition_boundary(base, square_side_selector(["left"]))
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, base)
     phi = radial_bump_diffeo()   # boundary fixed, det genuinely nonconstant
     study = gauge_experiment(base, part, c, phi, refinements=3, k=6,
@@ -259,7 +259,7 @@ def test_acceptance_6_gauge():
 def test_acceptance_7_decomposition_and_coercivity():
     mesh = build_structured_square(16)
     part = partition_boundary(mesh, square_side_selector(["left"]))
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh)
     sys_ = assemble(mesh, part, c)
     rng = np.random.default_rng(0)
@@ -271,11 +271,11 @@ def test_acceptance_7_decomposition_and_coercivity():
     for _ in range(100):
         u = rng.standard_normal(sys_.n_free)
         u0, ext = decompose(d, u)
-        recon = embed_interior(sys_, u0) + ext.u
+        recon = embed_interior(sys_, u0) + ext
         worst_recon = max(worst_recon,
                           float(np.abs(recon - u).max()
                                 / max(1.0, np.abs(u).max())))
-        resid = (C @ ext.u)[sys_.interior_dofs]
+        resid = (C @ ext)[sys_.interior_dofs]
         worst_resid = max(worst_resid, float(np.abs(resid).max() / A_scale))
     assert worst_recon <= 1e-12
     assert worst_resid <= 1e-10

@@ -237,7 +237,7 @@ def test_boundary_mass_matches_per_edge_loop(domain, lumped):
         poly = lshape_polygon()
         mesh = build_polygon_mesh(poly, 0.25)
         part = partition_boundary(mesh, polygon_edge_selector(poly, [0, 3]))
-    sys_ = assemble(mesh, part, CoefficientSet.identity(),
+    sys_ = assemble(mesh, part, CoefficientSet.make(),
                     lump_boundary_mass=lumped)
     B, w = _per_edge_boundary_mass(sys_, lumped)
     for name in ("indptr", "indices", "data"):
@@ -248,7 +248,7 @@ def test_boundary_mass_matches_per_edge_loop(domain, lumped):
 def test_monotone_refinement_of_dirichlet_eigenvalues():
     mesh = build_structured_square(4)
     part = partition_boundary(mesh, lambda x, y: False)
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh)
     values = []
     for _ in range(3):

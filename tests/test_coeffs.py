@@ -42,7 +42,7 @@ def mesh8():
 
 
 def test_certify_identity(mesh8):
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     eta, sym = certify(c, mesh8)
     assert eta == pytest.approx(1.0, abs=1e-15)
     assert sym
@@ -271,7 +271,7 @@ def test_jacobian_fold_rejected(mesh8):
 
 def test_area_preserving_pullback_matrix(mesh8):
     # with det == 1 the transported matrix is exactly DPhi a DPhi^T
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh8)
     phi = twist_diffeo()
     b = pullback(c, phi)
@@ -404,7 +404,7 @@ def test_mass_weight_compensates_jacobian():
     # weighted mass on the transported mesh approaches the plain mass
     # at second order under refinement
     phi = radial_bump_diffeo()
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     errors = []
     for n in (16, 32):
         mesh = build_structured_square(n)

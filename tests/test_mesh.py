@@ -179,6 +179,22 @@ def test_map_vertices_rejects_a_nan_vertex():
                                               np.nan, (x, y)))
 
 
+def test_map_vertices_rejects_a_map_of_another_length():
+    m = build_structured_square(2)
+    for resize in (lambda v: np.r_[v, 5.0], lambda v: v[:-1]):
+        with pytest.raises(MeshInvariantError,
+                           match=r"returned shape \(\d+, 2\) for 9 vertices"):
+            map_vertices(m, lambda x, y: (resize(x), resize(y)))
+
+
+def test_check_mesh_rejects_a_vertex_in_no_triangle():
+    m = build_structured_square(2)
+    bad = dataclasses.replace(m, vertices=np.vstack([m.vertices, [5.0, 5.0]]))
+    with pytest.raises(MeshInvariantError,
+                       match=r"^vertex 9 is in no triangle$"):
+        check_mesh(bad)
+
+
 def test_map_vertices_identity_keeps_everything():
     m = refine(build_structured_square(2))
     moved = map_vertices(m, lambda x, y: (x, y))

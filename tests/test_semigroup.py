@@ -136,7 +136,7 @@ def test_positivity_on_obtuse_mesh_warns_not_raises():
                         lambda x, y: (x + 0.8 * y, y))
     assert not quality(mesh).nonobtuse
     part = partition_boundary(mesh, lambda x, y: False)
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh)
     sys_ = assemble(mesh, part, c, lump_boundary_mass=True)
     rep = positivity_report(build_semigroup(sys_), (0.1, 1.0), trials=10)
@@ -189,6 +189,17 @@ def test_domination_equal_partitions_equal_semigroups():
     phi = rng.uniform(0, 1, len(sga.full_boundary_vertices))
     for t in T_LIST:
         assert np.abs(evolve(sga, phi, t) - evolve(sgb, phi, t)).max() <= 1e-12
+
+
+def test_domination_refuses_a_twin_with_another_matrix_coefficient():
+    # a relative 1e-6 difference is no twin, however small
+    near = CoefficientSet.make(a=((1.0 + 1e-6, 0.0), (0.0, 1.0 + 1e-6)))
+    sys_a = square_system(n=6, gamma0_sides=("left",), lumped=True)
+    sys_b = square_system(n=6, gamma0_sides=("left", "bottom"), coeffs=near,
+                          lumped=True)
+    with pytest.raises(ValueError, match="identical coefficients"):
+        domination_report(build_semigroup(sys_a), build_semigroup(sys_b),
+                          (1.0,), trials=2)
 
 
 def test_domination_rejects_non_nested():
@@ -329,7 +340,7 @@ def test_shifted_potential_gives_the_semigroup_at_lambda(lam):
     # S(lambda) of a0 is S(0) of a0 - lambda when M carries no weight
     sys_ = square_system(n=8, gamma0_sides=("left",), lumped=True)
     shifted = square_system(n=8, gamma0_sides=("left",), lumped=True,
-                            coeffs=CoefficientSet.identity().shifted(-lam))
+                            coeffs=CoefficientSet.make().shifted(-lam))
     d = dtn_matrix(sys_, lam)
     expected = spectral.sym_geneig(d.S, d.Bb, d.S.shape[0]).eigenvalues
     np.testing.assert_allclose(build_semigroup(shifted).omega, expected,

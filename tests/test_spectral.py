@@ -14,6 +14,7 @@ import scipy.sparse.linalg as spla
 from dtnlab import spectral
 from dtnlab.assemble import assemble, dirichlet_system, robin_matrix
 from dtnlab.coeffs import CoefficientSet, certify, radial_bump_diffeo
+from dtnlab.dtn import dtn_matrix, harmonic_extension
 from dtnlab.errors import DtnLabError, NotPositiveDefiniteError, SolverError
 from dtnlab.mesh import build_structured_square, partition_boundary
 from dtnlab.spectral import (
@@ -329,6 +330,47 @@ def test_duality_residual_and_reverse():
         assert r.multiplicity_match
 
 
+def test_every_eigenpair_residual_is_the_backward_error():
+    # each residual equals _backward_errors on its own pencil and vectors
+    backward = spectral._backward_errors
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    # Spectrum.residual_max: dense and sparse path
+    K, G = random_spd_pair(np.random.default_rng(2), 12)
+    spec = sym_geneig(K, G, 4)
+    close(spec.residual_max,
+          backward(K, G, spec.eigenvalues, spec.eigenvectors).max())
+    big = square_system(n=24, gamma0_sides=("left",))
+    spec = robin_spectrum(big, 3.0, 4)
+    assert spec.solver == "sparse"
+    close(spec.residual_max, backward(robin_matrix(big, 3.0), big.M,
+                                      spec.eigenvalues,
+                                      spec.eigenvectors).max())
+    # duality_check: forward on the domain, reverse on the boundary
+    sys_ = square_system(n=8, gamma0_sides=("left",))
+    lam = 1.5
+    r = duality_check(sys_, lam, 1)
+    d = dtn_matrix(sys_, lam)
+    phi = sym_geneig(d.S, d.Bb, len(d.S)).eigenvectors[:, :1]
+    close(r.residual, backward(d.C, sys_.B, [r.mu],
+                               harmonic_extension(d, phi))[0])
+    w = spectral._robin_pairs_at(sys_, r.mu, lam,
+                                 spectral.CLUSTER_RTOL * lam)
+    assert w.shape[1] == r.robin_multiplicity == 1
+    close(r.reverse_residual,
+          backward(d.S, d.Bb, [r.mu], w[sys_.boundary_dofs])[0])
+    # match_and_unitary: A's eigenvalues with B's eigenvectors
+    sys_up = square_system(n=8, gamma0_sides=("left",),
+                           coeffs=CoefficientSet.make(a0=1.0))
+    rep = match_and_unitary(sys_, sys_up, 2.0, 4)
+    psi = robin_spectrum(sys_up, 2.0, 4).eigenvectors
+    close(rep.conjugation_residual,
+          backward(robin_matrix(sys_up, 2.0), sys_up.M,
+                   robin_spectrum(sys_, 2.0, 4).eigenvalues, psi).max())
+
+
 def test_duality_multiplicity_cluster():
     # full gamma1 square: symmetric boundary modes come in pairs
     sys_ = square_system(n=8, gamma0_sides=())
@@ -430,6 +472,21 @@ def test_limit_study_shift_hints(mixed24, monkeypatch):
     assert len(calls) < without_hints
 
 
+def test_limit_study_names_the_failed_robin_solve(monkeypatch):
+    sys_ = square_system(n=4)
+    real = spectral.robin_spectrum
+
+    def failing(sys, mu, k, shift_hint=None):
+        if mu == -1000.0:
+            raise SolverError("no convergence")
+        return real(sys, mu, k, shift_hint=shift_hint)
+
+    monkeypatch.setattr(spectral, "robin_spectrum", failing)
+    with pytest.raises(SolverError, match=r"^Robin solve failed at "
+                       r"mu=-1000\.0: no convergence$"):
+        dirichlet_limit_study(sys_, 2, [-100.0, -1000.0, -10000.0])
+
+
 def test_limit_study_requires_decreasing_negatives():
     sys_ = square_system(n=4)
     with pytest.raises(ValueError):
@@ -527,7 +584,7 @@ def test_lambda_in_gaps_avoids_spectrum():
 def test_gauge_experiment_smoke():
     mesh = build_structured_square(4)
     part = partition_boundary(mesh, lambda x, y: False)
-    c = CoefficientSet.identity()
+    c = CoefficientSet.make()
     certify(c, mesh)
     study = gauge_experiment(mesh, part, c, radial_bump_diffeo(),
                              refinements=1, k=3, mu_list=(0.0,),

@@ -40,8 +40,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-THREAD_ENV = ("DTNLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-              "MKL_NUM_THREADS")
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIDES = ("parent", "change")
 PAIRS = 10
 
