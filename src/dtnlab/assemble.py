@@ -9,6 +9,12 @@ quadratics); boundary edge integration is exact for the P1 product,
 with an optional lumped (trapezoid) variant used by the semigroup
 positivity studies.
 
+A and M share one CSR pattern, computed once per assemble call: every
+pair of free dofs that share a triangle, whatever the coefficients, so
+entries that sum to exactly zero stay stored.  Both are filled by
+summing the element entries into that pattern in triangle order; no
+COO matrix is formed for them.
+
 The coefficient samples taken for assembly are also the only source of
 the ellipticity certificate: every AssembledSystem carries its samples
 and the eta/symmetry verdict computed from them, so downstream checks
@@ -68,6 +74,10 @@ class AssembledSystem:
     bound to the data it was computed from.  That covers the mass
     factors the eigensolvers take as G, mass (of M) and dirichlet_mass
     (of the interior block M_D), which are freed with the system.
+
+    A and M have the same pattern (every free-dof pair sharing a
+    triangle, explicit zeros kept) but M owns its own copy of the index
+    arrays, so an in-place operation on one cannot change the other.
     """
 
     A: sp.csr_matrix
@@ -184,6 +194,28 @@ def _gamma1_edges(mesh, part, dof_map):
             mesh.edge_lengths()[part.gamma1_edges])
 
 
+def _element_pattern(tri_dofs, n):
+    """(indptr, indices, slot): the CSR pattern of the free-dof pairs that
+    share a triangle, and where each local entry goes in it.
+
+    tri_dofs is (nt, 3), the free-dof index of each triangle vertex or -1.
+    slot[9*T + 3*i + j] is the data position of (row tri_dofs[T, i],
+    column tri_dofs[T, j]), and nnz = len(indices), one past the end, for
+    every entry with a constrained end.
+    """
+    rows = np.repeat(tri_dofs, 3, axis=1).ravel()     # test index i (slow)
+    cols = np.tile(tri_dofs, (1, 3)).ravel()          # trial index j (fast)
+    constrained = (rows < 0) | (cols < 0)
+    keys = rows * n
+    keys += cols
+    del rows, cols
+    keys[constrained] = n * n                         # sorts after every pair
+    keys, slot = np.unique(keys, return_inverse=True)
+    keys = keys[:np.searchsorted(keys, n * n)]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return indptr, keys % n, slot
+
+
 def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
              sample_mesh=None) -> AssembledSystem:
     """Assemble A, M and B for a mesh, partition and coefficient set.
@@ -211,6 +243,9 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
             sample_mesh.num_triangles != mesh.num_triangles
             or sample_mesh.num_vertices != mesh.num_vertices):
         raise ValueError("sample_mesh must share the mesh topology")
+    # the pattern first, while no element array is alive
+    indptr, indices, slot = _element_pattern(dof_map[mesh.triangles], n)
+    nnz = len(indices)
     pts = quadrature_points(coeff_mesh)
     samples = _sample_fields(c, pts[..., 0], pts[..., 1])
     rho = c.rho.eval_batch(pts[..., 0], pts[..., 1])
@@ -221,32 +256,32 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
     w = area[:, None] / 3.0                          # (nt, 3) weights
     P = _HATS_AT_MIDPOINTS
 
+    # A_el sums K, D, C and V in place, in the order of the plain sum
+    # K + D + C + V, so each element value is the same; each einsum
+    # temporary is freed once added
     # mean matrix coefficient per triangle, quadrature-weighted
     abar = np.einsum("q,klTq->Tkl", np.ones(3), a_q) * (area[:, None, None] / 3.0)
     # stiffness: sum_kl abar_kl g_trial[k] g_test[l]
-    K_el = np.einsum("Tjk,Tkl,Til->Tij", grads, abar, grads)
-
+    A_el = np.einsum("Tjk,Tkl,Til->Tij", grads, abar, grads)
+    del abar
     # drift (a_k d_k trial, test) and codrift (trial, ak_k d_k test)
-    drift_dot = np.einsum("kTq,Tjk->Tjq", drift_q, grads)     # (nt, trial, q)
-    D_el = np.einsum("Tq,Tjq,iq->Tij", w, drift_dot, P)
-    codrift_dot = np.einsum("kTq,Tik->Tiq", codrift_q, grads)  # (nt, test, q)
-    C_el = np.einsum("Tq,Tiq,jq->Tij", w, codrift_dot, P)
-
+    dot = np.einsum("kTq,Tjk->Tjq", drift_q, grads)           # (nt, trial, q)
+    A_el += np.einsum("Tq,Tjq,iq->Tij", w, dot, P)
+    dot = np.einsum("kTq,Tik->Tiq", codrift_q, grads)         # (nt, test, q)
+    A_el += np.einsum("Tq,Tiq,jq->Tij", w, dot, P)
+    del dot
     # potential and mass of density rho
-    V_el = np.einsum("Tq,iq,jq->Tij", w * a0_q, P, P)
+    A_el += np.einsum("Tq,iq,jq->Tij", w * a0_q, P, P)
     M_el = np.einsum("Tq,iq,jq->Tij", w * rho, P, P)
 
-    A_el = K_el + D_el + C_el + V_el
-
-    tri_dofs = dof_map[mesh.triangles]                # (nt, 3)
-    rows = np.repeat(tri_dofs, 3, axis=1).ravel()     # test index i (slow)
-    cols = np.tile(tri_dofs, (1, 3)).ravel()          # trial index j (fast)
-    keep = (rows >= 0) & (cols >= 0)
-    ij = (rows[keep], cols[keep])
-    A_vals = A_el.ravel()[keep]
-    M_vals = M_el.ravel()[keep]
-    A = sp.coo_matrix((A_vals, ij), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((M_vals, ij), shape=(n, n)).tocsr()
+    # duplicates summed in triangle order; M owns its index arrays
+    A = sp.csr_matrix(
+        (np.bincount(slot, weights=A_el.ravel(), minlength=nnz + 1)[:nnz],
+         indices, indptr), shape=(n, n))
+    del A_el
+    M = sp.csr_matrix(
+        (np.bincount(slot, weights=M_el.ravel(), minlength=nnz + 1)[:nnz],
+         indices.copy(), indptr.copy()), shape=(n, n))
 
     # gamma1 boundary mass; COO entries in edge order fix the order in
     # which tocsr sums the duplicates at shared vertices

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from dtnlab.assemble import (
     _HATS_AT_MIDPOINTS,
@@ -63,6 +64,43 @@ def variable_coeffs():
         drift=("0.2", "0.1"),
         a0="0.5 + 0.25*x",
     )
+
+
+def coo_assembly(mesh, part, c: CoefficientSet, sample_mesh=None):
+    """Reference (A, M) built from COO triplets.
+
+    The element formulas of assemble, with every entry that has a
+    constrained end dropped and the duplicates summed by scipy's COO to
+    CSR conversion, so the pattern is scipy's, not assemble's.
+    """
+    dof_map, free = _free_dof_map(mesh, part)
+    n = len(free)
+    pts = quadrature_points(mesh if sample_mesh is None else sample_mesh)
+    a_q, drift_q, codrift_q, a0_q = _sample_fields(c, pts[..., 0],
+                                                   pts[..., 1])
+    rho = c.rho.eval_batch(pts[..., 0], pts[..., 1])
+    _, area, grads = _triangle_geometry(mesh)
+    w = area[:, None] / 3.0
+    P = _HATS_AT_MIDPOINTS
+
+    abar = np.einsum("q,klTq->Tkl", np.ones(3), a_q) * (area[:, None, None] / 3.0)
+    K_el = np.einsum("Tjk,Tkl,Til->Tij", grads, abar, grads)
+    drift_dot = np.einsum("kTq,Tjk->Tjq", drift_q, grads)
+    D_el = np.einsum("Tq,Tjq,iq->Tij", w, drift_dot, P)
+    codrift_dot = np.einsum("kTq,Tik->Tiq", codrift_q, grads)
+    C_el = np.einsum("Tq,Tiq,jq->Tij", w, codrift_dot, P)
+    V_el = np.einsum("Tq,iq,jq->Tij", w * a0_q, P, P)
+    M_el = np.einsum("Tq,iq,jq->Tij", w * rho, P, P)
+    A_el = K_el + D_el + C_el + V_el
+
+    tri_dofs = dof_map[mesh.triangles]
+    rows = np.repeat(tri_dofs, 3, axis=1).ravel()
+    cols = np.tile(tri_dofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    ij = (rows[keep], cols[keep])
+    A = sp.coo_matrix((A_el.ravel()[keep], ij), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((M_el.ravel()[keep], ij), shape=(n, n)).tocsr()
+    return A, M
 
 
 def identity_diffeo() -> Diffeo:

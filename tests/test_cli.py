@@ -1,10 +1,14 @@
 """Command line driver: exit codes, determinism, output headers."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dtnlab
 from dtnlab import __version__, semigroup
 from dtnlab.cli import (
     _COMMANDS,
@@ -37,6 +41,23 @@ def test_validate_exits_zero(tmp_path, fast_config, capsys):
 
 def test_unknown_subcommand_exits_two(capsys):
     assert run(["frobnicate"]) == 2
+
+
+def test_module_entry_point_runs(tmp_path, fast_config):
+    # python -m dtnlab.cli is the same command as dtnlab
+    src = os.path.dirname(os.path.dirname(dtnlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "dtnlab.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+
+    done = module("duality", "--config", fast_config,
+                  "--out", str(tmp_path / "o"))
+    assert done.returncode == 0
+    assert "PASS: duality residuals" in done.stdout
+    assert module("frobnicate").returncode == 2
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dtnlab.assemble import assemble
 from dtnlab.coeffs import CoefficientSet, ScalarField, certify
@@ -245,6 +246,19 @@ def test_lp_contraction_rows(sg_mixed):
     assert by_p[np.inf][2] <= 1.0 + 1e-8
     assert by_p[1.0][2] <= 1.0 + 1e-8
     assert by_p[2.0][2] == pytest.approx(np.exp(-sg_mixed.w0), rel=1e-12)
+
+
+def test_lp_two_norm_takes_no_svd(sg_mixed, monkeypatch):
+    # numpy's matrix 2-norm calls its module's svd, not np.linalg.svd
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
+    rows = lp_contraction_report(sg_mixed, T_LIST)
+    assert len(rows) == 3 * len(T_LIST) and all(row[-1] for row in rows)
 
 
 def test_lp_two_norm_catches_broken_propagator(sg_mixed):

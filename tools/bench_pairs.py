@@ -21,8 +21,10 @@ For every end-to-end metric of BENCHMARK.json the output holds, per
 side, the runs, their median and quartiles (the ``inclusive`` method of
 ``statistics.quantiles``, equal to numpy's default linear percentiles),
 the number of pairs the change won (ties count for neither side), the
-median ratio change/parent and whether the median gain exceeds the
-parent's interquartile range.  It also holds the operations attempted and
+numbers of pairs in which the change is better, and worse, by more than
+the metric's bound (in the metric's unit), the median ratio
+change/parent and whether the median gain exceeds the parent's
+interquartile range.  It also holds the operations attempted and
 failed and whether every output matched the reference.  Standard library
 only.
 """
@@ -83,14 +85,16 @@ def summary(runs):
             "runs": runs}
 
 
-def compare(parent_runs, change_runs, better):
+def compare(parent_runs, change_runs, better, bound):
     sign = 1.0 if better == "lower" else -1.0
-    won = sum(sign * (p - c) > 0 for p, c in zip(parent_runs, change_runs))
+    gains = [sign * (p - c) for p, c in zip(parent_runs, change_runs)]
     p, c = summary(parent_runs), summary(change_runs)
     return {
         "parent": p,
         "change": c,
-        "change_better_in_pairs": won,
+        "change_better_in_pairs": sum(g > 0 for g in gains),
+        "change_better_beyond_bound_in_pairs": sum(g > bound for g in gains),
+        "change_worse_beyond_bound_in_pairs": sum(g < -bound for g in gains),
         "median_change_over_parent": c["median"] / p["median"],
         "median_gain_exceeds_parent_iqr":
             sign * (p["median"] - c["median"]) > p["iqr"],
@@ -177,7 +181,7 @@ def main(argv=None):
                          for r in results["parent"]],
                         [r["metrics"][m["name"]]["value"]
                          for r in results["change"]],
-                        m["better"])
+                        m["better"], m["bound"])
                     for m in spec["end_to_end"]},
             }
             if args.trace:
@@ -202,7 +206,10 @@ def main(argv=None):
             print(f"{w} {name}: parent {m['parent']['median']:.4f} "
                   f"[{m['parent']['q1']:.4f}, {m['parent']['q3']:.4f}] -> "
                   f"change {m['change']['median']:.4f}, change better in "
-                  f"{m['change_better_in_pairs']}/{entry['pairs']} pairs")
+                  f"{m['change_better_in_pairs']}/{entry['pairs']} pairs, "
+                  f"beyond the bound better in "
+                  f"{m['change_better_beyond_bound_in_pairs']} and worse in "
+                  f"{m['change_worse_beyond_bound_in_pairs']}")
     print(f"wrote {path}")
     return 0
 
