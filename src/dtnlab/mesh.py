@@ -16,13 +16,12 @@ A BoundaryPartition splits the boundary edges into a closed part
 particular the two interface vertices between gamma0 and gamma1 are
 constrained (closure convention).
 
-Edges are matched as integers: a directed edge (a, b) has the key
-a * nv + b and an undirected one lo * nv + hi, for nv vertices.
-check_mesh sorts the directed keys of the triangles once; refine sorts
-the undirected keys.  Lookups use searchsorted, so no step walks the
-edges in Python.  Directed keys are formed from the triangle columns
-and edges are recovered from them by divmod, so the check builds no
-(3 nt, 2) array of all edges.
+Edges are matched as integers, for nv vertices: the edge {a, b} has the
+key u = lo * nv + hi and the directed edge (a, b) the key 2 u + [a > b],
+below 2 nv^2, so int64 holds it for any nv < 2^31.  check_mesh sorts
+the directed keys of the triangles once, in place, and builds no (3 nt,
+2) array of all edges; refine sorts the undirected keys.  No step walks
+the edges in Python.
 """
 
 from __future__ import annotations
@@ -114,11 +113,11 @@ class MeshQuality:
 
 
 def _signed_areas(vertices, triangles):
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    """Signed triangle areas, gathered one coordinate at a time."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    a, b, c = triangles.T
+    return 0.5 * ((x[b] - x[a]) * (y[c] - y[a])
+                  - (y[b] - y[a]) * (x[c] - x[a]))
 
 
 # the edges 01, 12 and 20 of a triangle, as pairs of columns
@@ -131,38 +130,24 @@ def _check_indices(name, index, nv):
         raise MeshInvariantError(f"{name} refer to vertices outside 0..{nv - 1}")
 
 
-def _directed_keys(triangles, nv, reverse=False):
-    """Key a * nv + b of every directed edge (a, b) of the triangles.
-
-    The edges 01 of all triangles come first, then all 12, then all 20.
-    With reverse, the keys of the reversed edges (b, a), in that order.
-    """
-    return np.concatenate([triangles[:, j] * nv + triangles[:, i] if reverse
-                           else triangles[:, i] * nv + triangles[:, j]
-                           for i, j in _EDGE_ENDS])
-
-
-def _edge_keys(edges, nv):
-    """One integer per undirected edge {a, b}: lo * nv + hi."""
-    return (np.minimum(edges[:, 0], edges[:, 1]) * nv
-            + np.maximum(edges[:, 0], edges[:, 1]))
+def _edge_keys(a, b, nv, directed=False, out=None):
+    """Key u = lo * nv + hi of each edge {a, b}; 2 u + [a > b] if directed."""
+    out = np.minimum(a, b, out=out)
+    out *= nv
+    out += np.maximum(a, b)
+    if directed:
+        out <<= 1
+        out += a > b
+    return out
 
 
-def _sorted_distinct(keys):
-    """The distinct keys, sorted, and whether any key occurs twice."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first], not np.all(first)
-
-
-def _contains(sorted_keys, queries):
-    """Membership of each query in a sorted key array."""
-    if not len(sorted_keys):
-        return np.zeros(len(queries), dtype=bool)
-    pos = np.searchsorted(sorted_keys, queries)
-    pos = np.minimum(pos, len(sorted_keys) - 1)
-    return sorted_keys[pos] == queries
+def _triangle_edge_keys(triangles, nv):
+    """Directed keys of the edges 01 of all triangles, then 12, then 20."""
+    nt = len(triangles)
+    keys = np.empty(3 * nt, dtype=np.int64)
+    for block, (i, j) in zip(keys.reshape(3, nt), _EDGE_ENDS):
+        _edge_keys(triangles[:, i], triangles[:, j], nv, True, out=block)
+    return keys
 
 
 def _h_max(vertices, triangles):
@@ -197,10 +182,15 @@ def _make_mesh(vertices, triangles, boundary, boundary_parent=None):
 def check_mesh(mesh: Mesh) -> None:
     """Validate structural invariants; raise MeshInvariantError on failure.
 
-    Checks: vertex indices in range, each vertex in a triangle, finite
-    positive triangle areas, no directed edge twice (orientation), and the
-    listed boundary edges being closed loops of exactly the triangle edges
-    whose reverse is no edge.
+    In order: indices in range, each vertex in a triangle, finite positive
+    areas, no directed edge twice, no interior edge listed, no boundary
+    edge unlisted, closed listed loops, no listed edge of no triangle.
+    The working set is one int64 key per directed edge (module docstring),
+    sorted in place, plus boolean masks: equal neighbours are an edge
+    twice, 2u next to 2u + 1 an interior edge seen from both sides, and
+    the unpaired keys the boundary, which the sorted listed keys must
+    equal.  A message names the first offending edge among all 01 edges,
+    then all 12, then all 20.
     """
     nv = mesh.num_vertices
     _check_indices("triangles", mesh.triangles, nv)
@@ -217,52 +207,58 @@ def check_mesh(mesh: Mesh) -> None:
             f"triangle {bad} has nonpositive signed area {areas[bad]:.3e}"
             if np.isfinite(areas[bad]) else
             f"triangle {bad} has a signed area that is not finite")
-    directed = _directed_keys(mesh.triangles, nv)
-    keys, duplicated = _sorted_distinct(directed)
-    if duplicated:
+    del areas
+    keys = _triangle_edge_keys(mesh.triangles, nv)
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
         raise MeshInvariantError("duplicate directed edge (orientation defect)")
-    listed = np.sort(mesh.boundary_edges[:, 0] * nv + mesh.boundary_edges[:, 1])
-    has_reverse = _contains(keys, _directed_keys(mesh.triangles, nv,
-                                                 reverse=True))
-    is_listed = _contains(listed, directed)
-    for bad, message in (
-            (has_reverse & is_listed, "interior edge {} labeled boundary"),
-            (~has_reverse & ~is_listed, "boundary edge {} missing from list")):
-        if np.any(bad):
-            edge = divmod(int(directed[np.argmax(bad)]), nv)
-            raise MeshInvariantError(message.format(edge))
+    down = np.empty(len(keys), dtype=bool)          # bit 0: a > b
+    np.bitwise_and(keys, 1, out=down, casting="unsafe")
+    keys >>= 1                    # 2u and 2u + 1 become equal neighbours
+    alone = np.ones(len(keys), dtype=bool)
+    alone[1:] = keys[1:] != keys[:-1]
+    alone[:-1] &= alone[1:]
+    found = 2 * keys[alone] + down[alone]
+    del keys, down, alone
+    listed = np.sort(_edge_keys(*mesh.boundary_edges.T, nv, True))
+    exact = np.array_equal(listed, found)
+    if not exact:       # name the first misfiled edge, in 01, 12, 20 order
+        directed = _triangle_edge_keys(mesh.triangles, nv)
+        has_reverse = np.isin(directed ^ 1, directed)
+        is_listed = np.isin(directed, listed)
+        for bad, message in (
+                (has_reverse & is_listed, "interior edge {} labeled boundary"),
+                (~has_reverse & ~is_listed,
+                 "boundary edge {} missing from list")):
+            if np.any(bad):
+                key = int(directed[np.argmax(bad)])
+                lo, hi = divmod(key >> 1, nv)
+                edge = (hi, lo) if key & 1 else (lo, hi)
+                raise MeshInvariantError(message.format(edge))
     # closed loops: one in and one out edge per boundary vertex, as listed
     out_deg = np.bincount(mesh.boundary_edges[:, 0], minlength=nv)
     in_deg = np.bincount(mesh.boundary_edges[:, 1], minlength=nv)
-    if np.any(out_deg > 1) or np.any(in_deg > 1) \
-            or np.any((out_deg > 0) != (in_deg > 0)):
+    if np.any(out_deg > 1) or np.any(out_deg != in_deg):
         raise MeshInvariantError("boundary edges do not form closed loops")
-    # every boundary edge of a triangle is listed; any more are no edges
-    if mesh.num_boundary_edges > np.count_nonzero(~has_reverse):
+    # every boundary edge of a triangle is listed, none twice and no
+    # interior one, so a list unequal to them holds an edge of no triangle
+    if not exact:
         raise MeshInvariantError("boundary list holds an edge of no triangle")
 
 
 def quality(mesh: Mesh) -> MeshQuality:
     """Largest interior angle (degrees) and whether no triangle is obtuse."""
-    v = mesh.vertices
-    t = mesh.triangles
+    v, t = mesh.vertices, mesh.triangles
     angles = []
     for k in range(3):
         a = v[t[:, k]]
-        b = v[t[:, (k + 1) % 3]]
-        c = v[t[:, (k + 2) % 3]]
-        u1 = b - a
-        u2 = c - a
+        u1 = v[t[:, (k + 1) % 3]] - a
+        u2 = v[t[:, (k + 2) % 3]] - a
         cosang = np.sum(u1 * u2, axis=1) / (
-            np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1)
-        )
+            np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1))
         angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-    angles = np.concatenate(angles)
-    max_angle = float(np.max(angles))
-    return MeshQuality(
-        max_angle_deg=max_angle,
-        nonobtuse=max_angle <= 90.0 + 1e-9,
-    )
+    max_angle = float(np.max(np.concatenate(angles)))
+    return MeshQuality(max_angle, nonobtuse=max_angle <= 90.0 + 1e-9)
 
 
 def build_structured_square(n: int) -> Mesh:
@@ -279,15 +275,13 @@ def build_structured_square(n: int) -> Mesh:
     def idx(i, j):
         return i * (n + 1) + j
 
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            triangles.append([idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)])
-            triangles.append([idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)])
+    i, j = np.divmod(np.arange(n * n), n)       # the cells, row by row
+    triangles = np.column_stack([idx(i, j), idx(i + 1, j), idx(i + 1, j + 1),
+                                 idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)])
     # counter-clockwise from (0, 0): bottom, right, top, left
     k = np.arange(n)
     loop = np.concatenate([idx(k, 0), idx(n, k), idx(n - k, n), idx(0, n - k)])
-    return _make_mesh(vertices, triangles,
+    return _make_mesh(vertices, triangles.reshape(-1, 3),
                       np.column_stack([loop, np.roll(loop, -1)]))
 
 
@@ -443,7 +437,7 @@ def refine(mesh: Mesh) -> Mesh:
     tri = mesh.triangles
     # the edges ab, bc, ca of every triangle, triangle by triangle
     ends = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
-    keys = _edge_keys(ends, nv)
+    keys = _edge_keys(ends[:, 0], ends[:, 1], nv)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
@@ -465,11 +459,11 @@ def refine(mesh: Mesh) -> Mesh:
                                  + mesh.vertices[new_ends[:, 1]])])
     # the midpoint of each parent boundary edge, found among the sorted keys
     m = mid[order[np.searchsorted(sorted_keys,
-                                  _edge_keys(mesh.boundary_edges, nv))]]
+                                  _edge_keys(*mesh.boundary_edges.T, nv))]]
     p, q = mesh.boundary_edges.T
     boundary = np.column_stack([p, m, m, q]).reshape(-1, 2)
-    # drop the per-edge work arrays before the mesh check, which sets the
-    # peak memory of a refine
+    # drop the per-edge work arrays before _make_mesh, whose h_max and
+    # mesh check set the peak memory of a refine
     del ends, keys, order, sorted_keys, starts, firsts, by_first, first
     del rank, mid, mab, mbc, mca, new_ends
     return _make_mesh(vertices, triangles, boundary,

@@ -2,6 +2,8 @@
 and the oracles the tests check the package against."""
 
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,68 @@ from dtnlab.mesh import (
     square_side_selector,
 )
 from dtnlab.spectral import sym_geneig
+
+def traced_peak(fn, *args, **kwargs):
+    """tracemalloc peak, in bytes, of one call fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reference_mesh_fault(mesh):
+    """The message check_mesh should raise for mesh, or None if it is valid.
+
+    A set-based restatement of the checks, in check_mesh's order, that
+    walks the edges in Python.  The message names the failing branch
+    and, for a misfiled edge, the first one among all 01 edges of the
+    triangles, then all 12, then all 20.
+    """
+    nv = len(mesh.vertices)
+    tris = mesh.triangles.tolist()
+    listed = [tuple(e) for e in mesh.boundary_edges.tolist()]
+    for name, index in (("triangles", [v for t in tris for v in t]),
+                        ("boundary edges", [v for e in listed for v in e])):
+        if any(not 0 <= v < nv for v in index):
+            return f"{name} refer to vertices outside 0..{nv - 1}"
+    unused = sorted(set(range(nv)) - {v for t in tris for v in t})
+    if unused:
+        return f"vertex {unused[0]} is in no triangle"
+    xy = mesh.vertices.tolist()
+    areas = [0.5 * ((xy[b][0] - xy[a][0]) * (xy[c][1] - xy[a][1])
+                    - (xy[b][1] - xy[a][1]) * (xy[c][0] - xy[a][0]))
+             for a, b, c in tris]
+    nan = [k for k, area in enumerate(areas) if math.isnan(area)]
+    if nan:
+        return f"triangle {nan[0]} has a signed area that is not finite"
+    if any(area <= 0 for area in areas):
+        bad = areas.index(min(areas))
+        if math.isinf(areas[bad]):
+            return f"triangle {bad} has a signed area that is not finite"
+        return f"triangle {bad} has nonpositive signed area {areas[bad]:.3e}"
+    directed = [(t[i], t[j]) for i, j in ((0, 1), (1, 2), (2, 0))
+                for t in tris]
+    edges = set(directed)
+    if len(edges) < len(directed):
+        return "duplicate directed edge (orientation defect)"
+    boundary = [e for e in directed if (e[1], e[0]) not in edges]
+    for e in directed:
+        if (e[1], e[0]) in edges and e in listed:
+            return f"interior edge {e} labeled boundary"
+    for e in boundary:
+        if e not in listed:
+            return f"boundary edge {e} missing from list"
+    tails = Counter(a for a, _ in listed)
+    heads = Counter(b for _, b in listed)
+    if max(tails.values(), default=0) > 1 \
+            or max(heads.values(), default=0) > 1 or set(tails) != set(heads):
+        return "boundary edges do not form closed loops"
+    if len(listed) > len(boundary):
+        return "boundary list holds an edge of no triangle"
+    return None
+
 
 # a tiny square for CLI runs
 FAST_CONFIG = {

@@ -1,7 +1,6 @@
 """P1 assembly against analytic values and an element-wise oracle."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,12 @@ from dtnlab.mesh import (
 )
 from dtnlab.spectral import dirichlet_spectrum
 
-from helpers import coo_assembly, square_system, variable_coeffs
+from helpers import (
+    coo_assembly,
+    square_system,
+    traced_peak,
+    variable_coeffs,
+)
 
 
 def hat_gradient_energy(mesh, vertex_values):
@@ -343,10 +347,5 @@ def test_assemble_memory_stays_below_a_coo_build():
     # each, and two COO builds of A and M peaked at 5.3 MiB
     mesh, part, c, _ = _PATTERN_CASES["varcoef"]()
     assemble(mesh, part, c, lump_boundary_mass=True)
-    tracemalloc.start()
-    try:
-        assemble(mesh, part, c, lump_boundary_mass=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(assemble, mesh, part, c, lump_boundary_mass=True)
     assert peak < 4.0 * 2**20

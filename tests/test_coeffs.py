@@ -1,6 +1,5 @@
 """Coefficient certification, diffeomorphisms and pullback transport."""
 
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -33,7 +32,12 @@ from dtnlab.mesh import (
     regular_polygon,
 )
 
-from helpers import identity_diffeo, transported_form_value, variable_coeffs
+from helpers import (
+    identity_diffeo,
+    traced_peak,
+    transported_form_value,
+    variable_coeffs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,13 +178,7 @@ def test_certify_refuses_a_non_finite_sample(monkeypatch, mesh8, name,
 def test_certify_memory_stays_bounded_on_a_fine_mesh():
     mesh = build_polygon_mesh(regular_polygon(64), 0.02)   # 65,536 triangles
     c = variable_coeffs()
-    tracemalloc.start()
-    try:
-        certify(c, mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert traced_peak(certify, c, mesh) < 8 * 2**20
 
 
 def test_from_config_defaults(mesh8):

@@ -1,7 +1,5 @@
 """Schur complements, harmonic extensions and boundary-form checks."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -24,6 +22,7 @@ from helpers import (
     decompose,
     embed_interior,
     square_system,
+    traced_peak,
     variable_coeffs,
 )
 
@@ -350,10 +349,4 @@ def test_dtn_matrix_memory_stays_below_a_dense_coupling_block():
     a = "1 + 0.5*sin(3*x)*cos(2*y)"
     c = CoefficientSet.make(a=((a, "0"), ("0", a)), a0="1 + x*y")
     sys_ = square_system(n=40, coeffs=c, lumped=True)
-    tracemalloc.start()
-    try:
-        dtn_matrix(sys_, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    assert traced_peak(dtn_matrix, sys_, 0.0) < 1.5 * 2**20

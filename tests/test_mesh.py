@@ -1,6 +1,7 @@
 """Mesh construction, refinement and partitions."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from dtnlab.mesh import (
     square_side_selector,
 )
 
+from helpers import reference_mesh_fault, traced_peak
+
 
 def test_structured_square_smallest():
     m = build_structured_square(1)
@@ -36,6 +39,19 @@ def test_structured_square_counts():
     m = build_structured_square(2)
     assert m.num_vertices == 9
     assert m.num_triangles == 8
+
+
+def test_structured_square_triangles_match_the_cell_loop():
+    n = 3
+
+    def idx(i, j):
+        return i * (n + 1) + j
+
+    cells = [[[idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)],
+              [idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)]]
+             for i in range(n) for j in range(n)]
+    assert build_structured_square(n).triangles.tolist() \
+        == [t for cell in cells for t in cell]
 
 
 def test_structured_square_nonobtuse():
@@ -313,13 +329,15 @@ def test_polygon_mesh_matches_dict_reference(polygon, h, times):
 
 
 def test_refine_sorts_the_directed_edge_keys_once(monkeypatch):
+    # check_mesh sorts each array of directed keys it builds, once
     import dtnlab.mesh as mesh_module
 
     coarse = build_structured_square(4)
     sizes = []
-    real = mesh_module._sorted_distinct
-    monkeypatch.setattr(mesh_module, "_sorted_distinct",
-                        lambda keys: sizes.append(len(keys)) or real(keys))
+    real = mesh_module._triangle_edge_keys
+    monkeypatch.setattr(mesh_module, "_triangle_edge_keys",
+                        lambda tri, nv: sizes.append(3 * len(tri))
+                        or real(tri, nv))
     fine = refine(coarse)
     assert sizes.count(3 * fine.num_triangles) == 1
 
@@ -466,3 +484,161 @@ def test_check_mesh_rejects_a_listed_loop_of_no_triangle_edges():
         m, boundary_edges=np.vstack([m.boundary_edges, loop]))
     with pytest.raises(MeshInvariantError, match="edge of no triangle"):
         check_mesh(bad)
+
+
+def test_check_mesh_working_set():
+    # 16,384 triangles: one int64 key per directed edge is 0.375 MiB
+    m = build_polygon_mesh(regular_polygon(64), 0.04)
+    assert m.num_triangles == 16384
+    assert traced_peak(check_mesh, m) <= 1.0 * 2**20
+
+
+# check_mesh against a set-based reference, on corrupted meshes -----------
+
+
+@functools.cache
+def _base_mesh(name):
+    return _STATED[name]()
+
+
+def _replace(m, vertices=None, triangles=None, boundary=None):
+    return dataclasses.replace(
+        m,
+        vertices=m.vertices if vertices is None else vertices,
+        triangles=m.triangles if triangles is None else triangles,
+        boundary_edges=(m.boundary_edges if boundary is None
+                        else np.asarray(boundary, dtype=np.int64)
+                        .reshape(-1, 2)))
+
+
+def _interior_edges(m):
+    edges = _edge_set(_dict_edges(m.triangles))
+    return sorted(e for e in edges if (e[1], e[0]) in edges)
+
+
+def _pick(rng, items):
+    return items[rng.integers(len(items))]
+
+
+def _drop(m, rng):
+    return _replace(m, boundary=np.delete(
+        m.boundary_edges, rng.integers(m.num_boundary_edges), axis=0))
+
+
+def _add(m, rng):
+    edge = rng.integers(m.num_vertices, size=2)
+    return _replace(m, boundary=np.vstack([m.boundary_edges, edge]))
+
+
+def _reverse(m, rng):
+    boundary = m.boundary_edges.copy()
+    k = rng.integers(len(boundary))
+    boundary[k] = boundary[k, ::-1]
+    return _replace(m, boundary=boundary)
+
+
+def _list_interior(m, rng):
+    edge = _pick(rng, _interior_edges(m))
+    return _replace(m, boundary=np.vstack([m.boundary_edges, edge]))
+
+
+def _chords(m, ends):
+    """Vertex pairs among ends that are no triangle edge either way."""
+    edges = _edge_set(_dict_edges(m.triangles))
+    return [(a, b) for a in ends for b in ends
+            if a != b and (a, b) not in edges and (b, a) not in edges]
+
+
+def _list_chord(m, rng):
+    chords = _chords(m, range(m.num_vertices))
+    if not chords:
+        return m
+    return _replace(m, boundary=np.vstack([m.boundary_edges,
+                                           _pick(rng, chords)]))
+
+
+def _list_loop(m, rng):
+    # a chord listed both ways; between interior vertices it closes a loop
+    inner = sorted(set(range(m.num_vertices)) - set(m.boundary_edges.flat))
+    chords = _chords(m, inner) or _chords(m, range(m.num_vertices))
+    if not chords:
+        return m
+    a, b = _pick(rng, chords)
+    return _replace(m, boundary=np.vstack([m.boundary_edges, [a, b], [b, a]]))
+
+
+def _stray(m, rng):
+    # an index outside 0..nv-1 in a triangle or in the list
+    stray = _pick(rng, [-1, m.num_vertices])
+    if rng.integers(2):
+        triangles = m.triangles.copy()
+        triangles[rng.integers(len(triangles)), rng.integers(3)] = stray
+        return _replace(m, triangles=triangles)
+    return _replace(m, boundary=np.vstack([m.boundary_edges, [0, stray]]))
+
+
+def _non_finite(m, rng):
+    vertices = m.vertices.copy()
+    vertices[rng.integers(len(vertices)), rng.integers(2)] = _pick(
+        rng, [np.nan, np.inf, -np.inf])
+    return _replace(m, vertices=vertices)
+
+
+def _flip(m, rng):
+    triangles = m.triangles.copy()
+    k = rng.integers(len(triangles))
+    triangles[k] = triangles[k, ::-1]
+    return _replace(m, triangles=triangles)
+
+
+def _duplicate(m, rng):
+    k = rng.integers(m.num_triangles)
+    return _replace(m, triangles=np.vstack([m.triangles, m.triangles[k]]))
+
+
+def _collapse(m, rng):
+    # vertex a moved onto its neighbour b, or renamed b in every triangle
+    a, b = _pick(rng, sorted(_edge_set(_dict_edges(m.triangles))))
+    if rng.integers(2):
+        vertices = m.vertices.copy()
+        vertices[a] = vertices[b]
+        return _replace(m, vertices=vertices)
+    return _replace(m, triangles=np.where(m.triangles == a, b, m.triangles))
+
+
+def _two_edges(m, rng):
+    # an interior edge listed and a boundary edge dropped, at once
+    return _list_interior(_drop(m, rng), rng)
+
+
+_CORRUPTIONS = {f.__name__.lstrip("_"): f for f in (
+    _drop, _add, _reverse, _list_interior, _list_chord, _list_loop, _stray,
+    _non_finite, _flip, _duplicate, _collapse, _two_edges)}
+
+
+def _check_mesh_message(m):
+    try:
+        with np.errstate(invalid="ignore"):       # areas of NaN vertices
+            check_mesh(m)
+    except MeshInvariantError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
+@pytest.mark.parametrize("name", sorted(_STATED))
+def test_check_mesh_matches_the_reference_on_one_corruption(name, kind):
+    for seed in range(4):
+        m = _CORRUPTIONS[kind](_base_mesh(name), np.random.default_rng(seed))
+        assert _check_mesh_message(m) == reference_mesh_fault(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_STATED)),
+       st.lists(st.tuples(st.sampled_from(sorted(_CORRUPTIONS)),
+                          st.integers(0, 2**32 - 1)), max_size=2))
+def test_check_mesh_matches_the_reference(name, corruptions):
+    m = _base_mesh(name)
+    for kind, seed in corruptions:
+        m = _CORRUPTIONS[kind](m, np.random.default_rng(seed))
+    assert _check_mesh_message(m) == reference_mesh_fault(m)

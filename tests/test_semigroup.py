@@ -12,7 +12,9 @@ from dtnlab.coeffs import CoefficientSet, ScalarField, certify
 from dtnlab.dtn import dtn_matrix
 from dtnlab.errors import HypothesisViolationError
 from dtnlab.mesh import (
+    build_polygon_mesh,
     build_structured_square,
+    lshape_polygon,
     map_vertices,
     partition_boundary,
     quality,
@@ -161,6 +163,21 @@ def test_submarkov_constant_decays_near_gamma0(sg_mixed):
 def test_submarkov_zero_input(sg_mixed):
     out = evolve(sg_mixed, np.zeros(len(sg_mixed.full_boundary_vertices)), 2.0)
     assert np.all(out == 0.0)
+
+
+def test_submarkov_evolves_the_constant_first():
+    # on the L-shape P(0.1) maps 1 above 1 by 4.3e-3, which the random
+    # [0, 1] data of the later trials all miss
+    mesh = build_polygon_mesh(lshape_polygon(), 0.5)
+    part = partition_boundary(mesh, square_side_selector(("left",)))
+    c = CoefficientSet.make()
+    certify(c, mesh)
+    sg = build_semigroup(assemble(mesh, part, c, lump_boundary_mass=True))
+    rows = submarkov_report(sg, (0.1,), trials=5, seed=1).rows
+    one = evolve(sg, np.ones(len(sg.full_boundary_vertices)), 0.1)
+    assert rows[0][4] == one.max()
+    assert rows[0][5] >= 4e-3
+    assert max(row[5] for row in rows[1:]) == 0.0
 
 
 def test_submarkov_rejects_negative_potential():

@@ -2,7 +2,6 @@
 
 import gc
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -33,7 +32,7 @@ from dtnlab.spectral import (
     sym_geneig,
 )
 
-from helpers import square_system, variable_coeffs
+from helpers import square_system, traced_peak, variable_coeffs
 
 
 def brute_force_geneig(K, G, k):
@@ -530,12 +529,7 @@ def test_match_never_forms_a_dense_intertwiner():
     sys_ = square_system(n=32, gamma0_sides=("left",))
     n_free = sys_.n_free
     assert n_free == 1056
-    tracemalloc.start()
-    try:
-        match_and_unitary(sys_, sys_, 0.0, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(match_and_unitary, sys_, sys_, 0.0, 5)
     assert peak < n_free**2 * 8 / 2         # half of one dense U
 
 
