@@ -151,10 +151,13 @@ def _triangle_edge_keys(triangles, nv):
 
 
 def _h_max(vertices, triangles):
-    """Longest triangle edge, measured one edge column at a time."""
-    return max(float(np.max(np.linalg.norm(
-        vertices[triangles[:, j]] - vertices[triangles[:, i]], axis=1)))
-        for i, j in _EDGE_ENDS)
+    """Longest triangle edge, one edge column and one coordinate at a
+    time, in np.linalg.norm's arithmetic sqrt(dx*dx + dy*dy)."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    return float(np.sqrt(max(float(np.max(
+        (x[triangles[:, j]] - x[triangles[:, i]]) ** 2
+        + (y[triangles[:, j]] - y[triangles[:, i]]) ** 2))
+        for i, j in _EDGE_ENDS)))
 
 
 def _freeze(arr):

@@ -8,10 +8,13 @@ time-stepping error confounds the order properties under test).
 Vectors live on the full boundary vertex set; evolution restricts to
 gamma1, applies the exponential and extends by zero on gamma0.
 
-Order properties (positivity, sub-Markov, domination, potential
-monotonicity) are checked on meshes where the discrete theory can
-mirror the continuum one: nonobtuse triangles and lumped boundary
-mass.  Violations elsewhere are reported as warnings, not failures.
+The strictness rule of every report's Check: the order properties
+(positivity, sub-Markov, domination, potential monotonicity) and the l^1
+and l^inf rows of lp_contraction_report are discrete maximum principles,
+which hold on nonobtuse meshes with lumped boundary mass
+(_strict_config); a violation FAILs there and is a WARN elsewhere.  The
+l^2 bound exp(-w0 t) holds by spectral calculus on any mesh, so its
+violation FAILs everywhere.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .dtn import dtn_matrix
 from .errors import HypothesisViolationError
 from .mesh import quality
 from .spectral import sym_geneig
+from .util import Check, verdict
 
 __all__ = [
     "BoundarySemigroup",
@@ -63,13 +67,12 @@ class BoundarySemigroup:
 
 @dataclass(frozen=True)
 class OrderReport:
-    """Outcome of an entrywise order check."""
+    """CSV rows of a report and its Check: the largest row violation over
+    its data scale max(phi), at most TOL_POS (order reports), or the
+    largest excess norm - bound, at most 0 (lp_contraction_report)."""
 
-    check: str
-    min_entry: float
-    violation: float
-    verdict: str                   # PASS / WARN / FAIL
-    rows: tuple                    # (check, t, trial, min, max, violation, verdict)
+    check: Check
+    rows: tuple
 
 
 def build_semigroup(sys: AssembledSystem) -> BoundarySemigroup:
@@ -167,9 +170,6 @@ def _strict_config(sg: BoundarySemigroup) -> bool:
     return sg.sys.lumped_boundary and quality(sg.sys.mesh).nonobtuse
 
 
-_VERDICTS = ("PASS", "WARN", "FAIL")         # in increasing severity
-
-
 def _order_report(check, sgs, t_list, trials, seed, sample,
                   violation, first=None) -> OrderReport:
     """The trial/time loop shared by the entrywise order checks.
@@ -177,32 +177,28 @@ def _order_report(check, sgs, t_list, trials, seed, sample,
     Each trial draws full-boundary data phi = sample(rng, n) and evolves
     it under every semigroup in sgs at every time; violation(*outs)
     measures the failure of the order property.  A row passes when its
-    violation is at most TOL_POS times max(phi), and FAILs otherwise
-    only when every semigroup is in the strict configuration (WARN
-    elsewhere).  The report's verdict is its worst row verdict; its
-    min_entry is the smallest entry of the last semigroup's evolutions.
-    With first, trial 0 evolves first(n) in place of its (still made) draw.
+    violation is at most TOL_POS times max(phi); otherwise the strictness
+    rule holds for all of sgs together.  Row min and max are the entries
+    of the last semigroup's evolution.  With first, trial 0 evolves
+    first(n) in place of its (still made) draw.
     """
     rng = np.random.default_rng(seed)
     n_full = len(sgs[0].full_boundary_vertices)
     strict = all(_strict_config(sg) for sg in sgs)
-    rows = []
+    rows, rel = [], []
     for trial in range(trials):
         phi = sample(rng, n_full)
         phi = first(n_full) if trial == 0 and first else phi
-        tol = TOL_POS * float(phi.max())
         for t in t_list:
             outs = [evolve(sg, phi, t) for sg in sgs]
             v = violation(*outs)
-            verdict = "PASS" if v <= tol else ("FAIL" if strict else "WARN")
+            rel.append(v / float(phi.max()))
             rows.append((check, t, trial, float(outs[-1].min()),
-                         float(outs[-1].max()), v, verdict))
-    return OrderReport(
-        check,
-        min((r[3] for r in rows), default=np.inf),
-        max((r[5] for r in rows), default=0.0),
-        max((r[6] for r in rows), key=_VERDICTS.index, default="PASS"),
-        tuple(rows))
+                         float(outs[-1].max()), v,
+                         verdict(rel[-1] <= TOL_POS, strict)))
+    worst = float(np.max(rel, initial=0.0))
+    return OrderReport(Check(check, worst, TOL_POS,
+                             verdict(worst <= TOL_POS, strict)), tuple(rows))
 
 
 def _uniform(rng, n):
@@ -233,11 +229,7 @@ def _not_dominated(out_upper, out_lower):
 
 def positivity_report(sg: BoundarySemigroup, t_list, trials: int,
                       seed: int = 0) -> OrderReport:
-    """Min entry of evolved nonnegative data over random trials.
-
-    FAILs only on nonobtuse meshes with lumped boundary mass; other
-    configurations log WARN (discrete positivity is mesh dependent).
-    """
+    """Min entry of evolved nonnegative data over random trials."""
     check_order_hypotheses(sg.sys)
     return _order_report("positivity", (sg,), t_list, trials, seed,
                          _sparse_uniform, _below_zero)
@@ -320,10 +312,11 @@ def potential_monotonicity_report(sg_a: BoundarySemigroup,
                          trials, seed, _uniform, _not_dominated)
 
 
-def lp_contraction_report(sg: BoundarySemigroup, t_list):
+def lp_contraction_report(sg: BoundarySemigroup, t_list) -> OrderReport:
     """Weighted l^p operator norms of the propagator at each time.
 
-    Rows (p, t, norm, bound, ok) for p = 1, 2, inf at each t.  Weights
+    Rows (p, t, norm, bound, ok = norm <= bound) for p = 1, 2, inf at
+    each t, judged by the strictness rule (module docstring).  Weights
     are the lumped gamma1 boundary weights for p in {1, inf}, where the
     sub-Markov setting gives norms <= 1.  For p = 2 the norm is the one
     of the Bb inner product, ||L^T P L^{-T}||_2 with Bb = L L^T and P
@@ -353,5 +346,9 @@ def lp_contraction_report(sg: BoundarySemigroup, t_list):
             (np.inf, t, float(np.max(np.sum(np.abs(G), axis=1))),
              1.0 + TOL_POS),
         ]
-    return [(p, t, norm, bound, norm <= bound)
-            for p, t, norm, bound in rows]
+    rows = tuple((p, t, norm, bound, norm <= bound)
+                 for p, t, norm, bound in rows)
+    worst = float(np.max([r[2] - r[3] for r in rows], initial=-np.inf))
+    strict = _strict_config(sg) or not all(r[4] for r in rows if r[0] == 2)
+    return OrderReport(Check("lp contraction", worst, 0.0,
+                             verdict(worst <= 0.0, strict)), rows)

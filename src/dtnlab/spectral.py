@@ -28,7 +28,7 @@ from .errors import (
     SolverError,
 )
 from .mesh import map_vertices, refine, refine_partition
-from .util import parallel_map
+from .util import Check, parallel_map, verdict
 
 __all__ = [
     "Spectrum",
@@ -44,6 +44,7 @@ __all__ = [
     "robin_spectrum",
     "steklov_spectrum",
     "duality_check",
+    "duality_checks",
     "eigen_curves",
     "dirichlet_limit_study",
     "match_and_unitary",
@@ -86,11 +87,15 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class EigenCurve:
-    """Robin eigenvalue curves sampled on a mu grid (index pairing)."""
+    """Robin eigenvalue curves sampled on a mu grid (index pairing).
+
+    checks: the largest rise of a curve between grid neighbours and (given
+    Dirichlet values) its largest excess over them, each at most 1e-10
+    times the largest |eigenvalue| compared."""
 
     mu_grid: np.ndarray        # (steps,)
     values: np.ndarray         # (k, steps)
-    max_violation: float       # worst increase along any row
+    checks: tuple
 
 
 @dataclass(frozen=True)
@@ -107,16 +112,15 @@ class DualityResult:
 
 @dataclass(frozen=True)
 class LimitStudy:
-    """Gap table for the strong-coupling limit toward Dirichlet."""
+    """Gap table for the strong-coupling limit toward Dirichlet; checks,
+    exact: the smallest gap above 0, its largest growth along the list
+    below 0, its slowest shrink factor per decade of |mu| at least 5."""
 
     mu_list: np.ndarray
     dirichlet_values: np.ndarray   # (k,)
     robin_values: np.ndarray       # (len(mu), k)
     gaps: np.ndarray               # (len(mu), k)
-    all_gaps_positive: bool
-    monotone: bool
-    decade_ratio_ok: bool
-    ratios: np.ndarray             # (len(mu)-1, k)
+    checks: tuple
 
 
 @dataclass(frozen=True)
@@ -131,14 +135,15 @@ class MatchReport:
 
 @dataclass(frozen=True)
 class GaugeStudy:
-    """Refinement table for a gauge (change-of-variables) experiment."""
+    """Refinement table for a gauge (change-of-variables) experiment;
+    checks: the smallest defect and gap ratio of a level to the next, at
+    least 2, and the identity conjugation residual (a _backward_errors
+    value of a system against itself) at most 1e-10."""
 
     h_list: np.ndarray
     dtn_defects: np.ndarray
     max_gaps: np.ndarray
-    defect_ratios: np.ndarray
-    gap_ratios: np.ndarray
-    identity_residual: float
+    checks: tuple
 
 
 def sym_geneig(K, G, k: int, shift_hint: float | None = None) -> Spectrum:
@@ -527,6 +532,17 @@ def duality_check(sys: AssembledSystem, lam: float, j):
     return results if np.ndim(j) else results[0]
 
 
+def duality_checks(results):
+    """The largest residual of DualityResults, a _backward_errors value, at
+    most 1e-8; and the count of multiplicity mismatches, which must be 0."""
+    worst = max((max(r.residual, r.reverse_residual) for r in results),
+                default=0.0)
+    apart = sum(not r.multiplicity_match for r in results)
+    return (Check("duality residuals", worst, 1e-8, verdict(worst <= 1e-8)),
+            Check("duality multiplicities agree", apart, 0,
+                  verdict(apart == 0)))
+
+
 def _robin_sweep(sys, mus, k):
     """The k smallest Robin eigenvalues at each mu of a decreasing list.
 
@@ -546,50 +562,54 @@ def _robin_sweep(sys, mus, k):
 
 
 def eigen_curves(sys: AssembledSystem, mu_min: float, mu_max: float,
-                 steps: int, k: int) -> EigenCurve:
+                 steps: int, k: int, dirichlet=None) -> EigenCurve:
     """Robin eigenvalue curves over a mu grid, paired by sorted index.
 
     Pairing by index keeps crossings inside clusters benign; each row
     must be non-increasing in mu, and the worst increase found is
-    reported (not raised).  The grid is solved from the largest mu down
-    (see _robin_sweep).
+    reported (not raised), as is the worst excess over dirichlet, the k
+    smallest Dirichlet eigenvalues, when given.  The grid is solved from
+    the largest mu down (see _robin_sweep).
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     grid = np.linspace(mu_min, mu_max, steps)
     values = np.column_stack(_robin_sweep(sys, grid[::-1], k)[::-1])
-    max_violation = float(np.max(np.diff(values, axis=1)))
-    return EigenCurve(mu_grid=grid, values=values,
-                      max_violation=max_violation)
+    excess = [("curves non-increasing", np.diff(values, axis=1), values)]
+    if dirichlet is not None:
+        excess.append(("curves below Dirichlet",
+                       values - np.c_[dirichlet], np.asarray(dirichlet)))
+    checks = []
+    for name, rise, scale in excess:
+        worst, bound = float(rise.max()), 1e-10 * float(np.abs(scale).max())
+        checks.append(Check(name, worst, bound, verdict(worst <= bound)))
+    return EigenCurve(grid, values, tuple(checks))
 
 
 def dirichlet_limit_study(sys: AssembledSystem, k: int,
                           mu_list) -> LimitStudy:
     """Gaps |lambda_k^mu - lambda_k^D| along decreasing negative mu.
 
-    Report-only: records whether every gap is positive, whether gaps
-    shrink monotonically along the list, and whether they shrink by at
-    least a factor 5 per decade of |mu|.
+    Report-only: its checks say whether every gap is positive, whether
+    gaps shrink monotonically along the list, and whether they shrink by
+    at least a factor 5 per decade of |mu|.
     """
     mu_list = np.asarray(list(mu_list), dtype=float)
-    if np.any(mu_list >= 0) or np.any(np.diff(mu_list) >= 0):
-        raise ValueError("mu_list must be strictly decreasing negatives")
+    if len(mu_list) < 2 or np.any(mu_list >= 0) or \
+            np.any(np.diff(mu_list) >= 0):
+        raise ValueError("mu_list must be two or more strictly decreasing "
+                         "negatives")
     dvals = dirichlet_spectrum(sys, k).eigenvalues
     rvals = np.array(_robin_sweep(sys, mu_list, k))
     gaps = dvals[None, :] - rvals
-    ratios = gaps[:-1] / gaps[1:]
-    decades = np.log10(np.abs(mu_list[1:]) / np.abs(mu_list[:-1]))
-    required = 5.0 ** decades
-    return LimitStudy(
-        mu_list=mu_list,
-        dirichlet_values=dvals,
-        robin_values=rvals,
-        gaps=gaps,
-        all_gaps_positive=bool(np.all(gaps > 0)),
-        monotone=bool(np.all(np.diff(gaps, axis=0) < 0)),
-        decade_ratio_ok=bool(np.all(ratios >= required[:, None])),
-        ratios=ratios,
-    )
+    decades = np.log10(mu_list[1:] / mu_list[:-1])
+    low = float(gaps.min())
+    rise = float(np.diff(gaps, axis=0).max())
+    rate = float(np.min((gaps[:-1] / gaps[1:]) ** (1.0 / decades[:, None])))
+    return LimitStudy(mu_list, dvals, rvals, gaps, (
+        Check("limit gaps positive", low, 0.0, verdict(low > 0)),
+        Check("limit gaps monotone", rise, 0.0, verdict(rise < 0)),
+        Check("limit rate >= 5 per decade", rate, 5.0, verdict(rate >= 5.0))))
 
 
 def _check_compatible(sysA: AssembledSystem, sysB: AssembledSystem):
@@ -688,15 +708,17 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     mesh, and pullback(c, phi), density included, on the transported
     mesh (same boundary).  Both the Schur-complement defect over
     lambda_list and the worst Robin eigenvalue gap over mu_list are
-    tabulated; both shrink under refinement since the two
+    tabulated; both must at least halve per refinement since the two
     discretizations share their continuum limit.  Also reports the
     conjugation residual of the intertwiner between two identical
     inputs as a baseline.  Before anything is assembled, validate_diffeo
     checks phi on the finest mesh (SingularJacobianError when it moves
     the boundary, folds or disagrees with its Jacobian).  Raises
     ValueError when the coefficient samples on a level mesh are not
-    symmetric (the transport needs a symmetric set).
+    symmetric (the transport needs a symmetric set), or refinements < 1.
     """
+    if refinements < 1:
+        raise ValueError("a gauge study needs refinements >= 1")
     meshes = [mesh0]
     parts = [part0]
     for _ in range(refinements):
@@ -706,33 +728,28 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     b = pullback(c, phi)
 
     h_list, defects, max_gaps = [], [], []
-    identity_residual = None
     for mesh_i, part_i in zip(meshes, parts):
         sysA = assemble(mesh_i, part_i, c)
         if not sysA.symmetric:
             raise ValueError("pullback requires a symmetric coefficient set")
         mesh_t = map_vertices(mesh_i, phi.forward)
         sysB = assemble(mesh_t, part_i, b, sample_mesh=mesh_i)
-        defect = dtn_equality_check(sysA, sysB, lambda_list)
-        gap = 0.0
-        for mu in mu_list:
-            rep = match_and_unitary(sysA, sysB, mu, k)
-            gap = max(gap, float(rep.gaps.max()))
-        if identity_residual is None:
-            rep0 = match_and_unitary(sysA, sysA, float(mu_list[0]), k)
-            identity_residual = rep0.conjugation_residual
+        defects.append(dtn_equality_check(sysA, sysB, lambda_list))
+        max_gaps.append(max(float(match_and_unitary(sysA, sysB, mu, k)
+                                  .gaps.max()) for mu in mu_list))
+        if not h_list:          # the baseline, on the coarsest level
+            residual = match_and_unitary(sysA, sysA, float(mu_list[0]),
+                                         k).conjugation_residual
         h_list.append(mesh_i.h_max)
-        defects.append(defect)
-        max_gaps.append(gap)
 
-    h_list = np.array(h_list)
-    defects = np.array(defects)
-    max_gaps = np.array(max_gaps)
-    return GaugeStudy(
-        h_list=h_list,
-        dtn_defects=defects,
-        max_gaps=max_gaps,
-        defect_ratios=defects[:-1] / defects[1:],
-        gap_ratios=max_gaps[:-1] / max_gaps[1:],
-        identity_residual=float(identity_residual),
-    )
+    defects, max_gaps = np.array(defects), np.array(max_gaps)
+    checks = [Check(name, r, 2.0, verdict(r >= 2.0)) for name, r in (
+        ("gauge dtn defect halves", float(np.min(defects[:-1] / defects[1:]))),
+        ("gauge eigenvalue gaps halve",
+         float(np.min(max_gaps[:-1] / max_gaps[1:]))))]
+    # the residual stays in the name, ahead of the "(" that ends the label
+    # bench/reference.py keys this verdict by
+    checks.append(Check(f"identity conjugation residual {residual:.3e}",
+                        residual, 1e-10, verdict(residual <= 1e-10)))
+    return GaugeStudy(h_list=np.array(h_list), dtn_defects=defects,
+                      max_gaps=max_gaps, checks=tuple(checks))

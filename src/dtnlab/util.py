@@ -1,4 +1,4 @@
-"""Small shared helpers: the defect-loop map and config hashing.
+"""Small shared helpers: Check, the defect-loop map and config hashing.
 
 parallel_map is a plain in-order map.  It stays a named function so that
 the benchmark tracer can time the gauge study's Schur-complement defect
@@ -9,8 +9,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 
-__all__ = ["parallel_map", "config_hash"]
+__all__ = ["Check", "verdict", "parallel_map", "config_hash"]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A measured value, the bound it is judged against and the verdict,
+    built by the function that computes the value (cli module docstring)."""
+
+    name: str
+    value: float
+    bound: float
+    verdict: str
+
+
+def verdict(ok, strict=True) -> str:
+    """PASS when ok, else FAIL, or WARN when not strict."""
+    return "PASS" if ok else ("FAIL" if strict else "WARN")
 
 
 def parallel_map(fn, items):

@@ -2,6 +2,7 @@
 and the oracles the tests check the package against."""
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -94,6 +95,10 @@ def reference_mesh_fault(mesh):
         return "boundary list holds an edge of no triangle"
     return None
 
+
+# one printed Check: verdict, name, value, bound
+CHECK_LINE = re.compile(r"^(PASS|WARN|FAIL): (.*) \(value (\S+), "
+                        r"bound (\S+)\)$")
 
 # a tiny square for CLI runs
 FAST_CONFIG = {

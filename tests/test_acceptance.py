@@ -142,16 +142,20 @@ def test_acceptance_2_monotonicity():
     c = CoefficientSet.make()
     certify(c, mesh)
     sys_ = assemble(mesh, part, c)
-    curve = eigen_curves(sys_, -50.0, 50.0, 101, 5)
-    assert curve.max_violation <= 1e-8
+    dvals = dirichlet_spectrum(sys_, 5).eigenvalues
+    curve = eigen_curves(sys_, -50.0, 50.0, 101, 5, dvals)
+    rise, below = curve.checks
+    assert rise.name == "curves non-increasing" and rise.verdict == "PASS"
+    assert rise.value <= 1e-8
     margin = float(np.min(-np.diff(curve.values, axis=1)))
     i0 = np.searchsorted(curve.mu_grid, 0.0)
     i50 = len(curve.mu_grid) - 1
     assert curve.values[0, i50] < curve.values[0, i0] - 1.0
-    dvals = dirichlet_spectrum(sys_, 5).eigenvalues
     excess = float((curve.values - dvals[:, None]).max())
     assert excess <= 1e-10 * max(1.0, float(np.abs(dvals).max()))
-    _report(2, f"max violation {curve.max_violation:.2e}, observed strict "
+    assert below.name == "curves below Dirichlet" and below.verdict == "PASS"
+    assert below.value == excess
+    _report(2, f"max violation {rise.value:.2e}, observed strict "
                f"decrease margin {margin:.3e}, Dirichlet excess {excess:.2e}")
 
 
@@ -162,10 +166,14 @@ def test_acceptance_3_dirichlet_limit():
     certify(c, mesh)
     sys_ = assemble(mesh, part, c)
     study = dirichlet_limit_study(sys_, 4, [-1e2, -1e3, -1e4])
-    assert study.all_gaps_positive
-    assert study.decade_ratio_ok
-    assert study.monotone
-    _report(3, f"min decade ratio {study.ratios.min():.2f} (>= 5), "
+    positive, monotone, rate = study.checks
+    assert positive.verdict == "PASS" and np.all(study.gaps > 0)
+    assert rate.verdict == "PASS"
+    ratios = study.gaps[:-1] / study.gaps[1:]   # one decade per step
+    assert np.all(ratios >= 5.0) and rate.value == pytest.approx(ratios.min())
+    assert monotone.verdict == "PASS"
+    assert np.all(np.diff(study.gaps, axis=0) < 0)
+    _report(3, f"min decade ratio {rate.value:.2f} (>= 5), "
                f"all {study.gaps.size} gaps positive")
 
 
@@ -210,16 +218,17 @@ def test_acceptance_5_semigroup_order():
     sg_left = build_semigroup(sys_left)
 
     pos = positivity_report(sg_left, t_list, trials=50, seed=0)
-    assert pos.verdict == "PASS" and pos.min_entry >= -1e-8
+    pos_min = min(row[3] for row in pos.rows)
+    assert pos.check.verdict == "PASS" and pos_min >= -1e-8
     sub = submarkov_report(sg_left, t_list, trials=50, seed=1)
-    assert sub.verdict == "PASS" and sub.violation <= 1e-8
+    assert sub.check.verdict == "PASS" and _violation(sub) <= 1e-8
     dom = domination_report(sg_free, sg_left, t_list, trials=50, seed=2)
-    assert dom.verdict == "PASS" and dom.violation <= 1e-8
+    assert dom.check.verdict == "PASS" and _violation(dom) <= 1e-8
     sys_up = assemble(mesh, part_left, CoefficientSet.make(a0=5.0),
                       lump_boundary_mass=True)
     pot = potential_monotonicity_report(sg_left, build_semigroup(sys_up),
                                         t_list, trials=50, seed=3)
-    assert pot.verdict == "PASS" and pot.violation <= 1e-8
+    assert pot.check.verdict == "PASS" and _violation(pot) <= 1e-8
 
     rng = np.random.default_rng(4)
     worst = 0.0
@@ -233,10 +242,15 @@ def test_acceptance_5_semigroup_order():
             worst = max(worst,
                         norm_t / (np.exp(-sg_left.w0 * t) * norm0) - 1.0)
     assert worst <= 1e-10
-    _report(5, f"positivity min {pos.min_entry:.2e}, submarkov defect "
-               f"{sub.violation:.2e}, domination {dom.violation:.2e}, "
-               f"potential {pot.violation:.2e}, growth-bound excess "
+    _report(5, f"positivity min {pos_min:.2e}, submarkov defect "
+               f"{_violation(sub):.2e}, domination {_violation(dom):.2e}, "
+               f"potential {_violation(pot):.2e}, growth-bound excess "
                f"{worst:.2e}")
+
+
+def _violation(report):
+    """The largest violation column of an order report's rows."""
+    return max(row[5] for row in report.rows)
 
 
 def test_acceptance_6_gauge():
@@ -248,12 +262,19 @@ def test_acceptance_6_gauge():
     study = gauge_experiment(base, part, c, phi, refinements=3, k=6,
                              mu_list=(-5.0, 0.0, 5.0),
                              lambda_list=(0.0, 10.0))
-    assert np.all(study.defect_ratios >= 2.0), study.defect_ratios
-    assert np.all(study.gap_ratios >= 2.0), study.gap_ratios
-    assert study.identity_residual <= 1e-10
-    _report(6, f"defect ratios {np.round(study.defect_ratios, 2)}, gap "
-               f"ratios {np.round(study.gap_ratios, 2)}, identity residual "
-               f"{study.identity_residual:.2e}")
+    defect_ratios = study.dtn_defects[:-1] / study.dtn_defects[1:]
+    gap_ratios = study.max_gaps[:-1] / study.max_gaps[1:]
+    assert np.all(defect_ratios >= 2.0), defect_ratios
+    assert np.all(gap_ratios >= 2.0), gap_ratios
+    assert [c.verdict for c in study.checks] == ["PASS"] * 3
+    assert study.checks[0].value == defect_ratios.min()
+    assert study.checks[1].value == gap_ratios.min()
+    identity = study.checks[2]
+    assert identity.name.startswith("identity conjugation residual")
+    assert identity.value <= 1e-10
+    _report(6, f"defect ratios {np.round(defect_ratios, 2)}, gap "
+               f"ratios {np.round(gap_ratios, 2)}, identity residual "
+               f"{identity.value:.2e}")
 
 
 def test_acceptance_7_decomposition_and_coercivity():

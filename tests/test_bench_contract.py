@@ -1,6 +1,7 @@
 """Every name the benchmark tracer patches must exist in the package,
 every workload config must pass the config checks and build its mesh and
-partition, and a traced run of every subcommand must complete.
+partition, a traced run of every subcommand must complete, and every
+verdict label of the recorded references must still print as PASS.
 
 bench/tracer.py replaces the functions listed in its TRACED table by
 name, and its hooks read fields of what those functions return; a
@@ -19,7 +20,7 @@ import sys
 import pytest
 
 import dtnlab
-from dtnlab.cli import _COMMANDS, build_problem, resolve_config
+from dtnlab.cli import _COMMANDS, build_problem, resolve_config, run
 
 from helpers import FAST_CONFIG
 
@@ -88,3 +89,25 @@ def test_traced_run_of_every_subcommand_completes(tmp_path):
                 "assemble.nnz", "dtn.cond_interior_max",
                 "spectral.residual_max"):
         assert key in recorded, key
+
+
+def test_every_reference_verdict_label_prints_as_pass(tmp_path, capsys):
+    # bench/reference.py keys each verdict by its label (the text before
+    # the first "(", numbers masked); a label the program no longer
+    # prints would fail every benchmark run as an incorrect output
+    extract = _bench_module("reference").extract
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(FAST_CONFIG))
+    printed = {}
+    for command in sorted(_COMMANDS):
+        run([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        got = extract(command, str(tmp_path / "o"), capsys.readouterr().out)
+        printed[command] = got["verdicts"]
+    for name in sorted(_WORKLOADS):
+        with open(os.path.join(_ROOT, "bench", "reference",
+                               name + ".json")) as f:
+            reference = json.load(f)
+        for command, recorded in reference.items():
+            for verdict in recorded["verdicts"]:
+                assert ["PASS", verdict[1]] in printed[command], (name,
+                                                                 verdict)

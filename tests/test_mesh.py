@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dtnlab.errors import MeshInvariantError, PartitionError, PolygonError
 from dtnlab.mesh import (
+    _h_max,
     build_polygon_mesh,
     build_structured_square,
     check_mesh,
@@ -491,6 +492,25 @@ def test_check_mesh_working_set():
     m = build_polygon_mesh(regular_polygon(64), 0.04)
     assert m.num_triangles == 16384
     assert traced_peak(check_mesh, m) <= 1.0 * 2**20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: refine(refine(build_polygon_mesh(lshape_polygon(), 0.3))),
+    lambda: build_polygon_mesh(regular_polygon(64), 0.04),
+], ids=["refined-lshape", "64-gon"])
+def test_h_max_is_the_norm_formula_bit_for_bit(build):
+    m = build()
+    v, t = m.vertices, m.triangles
+    lengths = [np.linalg.norm(v[t[:, j]] - v[t[:, i]], axis=1)
+               for i, j in ((0, 1), (1, 2), (2, 0))]
+    assert m.h_max.hex() == float(np.max(lengths)).hex()
+
+
+def test_h_max_gathers_one_coordinate_at_a_time():
+    # 16,384 triangles: one float64 per triangle is 0.125 MiB; four such
+    # arrays peak at 0.5 MiB, where (nt, 2) coordinate pairs took 0.75
+    m = build_polygon_mesh(regular_polygon(64), 0.04)
+    assert traced_peak(_h_max, m.vertices, m.triangles) <= 0.6 * 2**20
 
 
 # check_mesh against a set-based reference, on corrupted meshes -----------

@@ -38,6 +38,11 @@ from helpers import square_system
 T_LIST = (0.1, 1.0, 10.0)
 
 
+def _violation(report):
+    """The largest violation column of an order report's rows."""
+    return max(row[5] for row in report.rows)
+
+
 @pytest.fixture(scope="module")
 def sg_neumann():
     return build_semigroup(square_system(n=8, gamma0_sides=(), lumped=True))
@@ -120,8 +125,8 @@ def test_positivity_single_dof_indicator(sg_mixed):
 
 def test_positivity_report_passes(sg_mixed):
     rep = positivity_report(sg_mixed, T_LIST, trials=20, seed=0)
-    assert rep.verdict == "PASS"
-    assert rep.min_entry >= -1e-8
+    assert rep.check.verdict == "PASS"
+    assert min(row[3] for row in rep.rows) >= -1e-8
     assert all(row[0] == "positivity" for row in rep.rows)
 
 
@@ -143,13 +148,13 @@ def test_positivity_on_obtuse_mesh_warns_not_raises():
     certify(c, mesh)
     sys_ = assemble(mesh, part, c, lump_boundary_mass=True)
     rep = positivity_report(build_semigroup(sys_), (0.1, 1.0), trials=10)
-    assert rep.verdict in ("PASS", "WARN")
+    assert rep.check.verdict in ("PASS", "WARN")
 
 
 def test_submarkov_bounds(sg_mixed):
     rep = submarkov_report(sg_mixed, T_LIST, trials=20, seed=1)
-    assert rep.verdict == "PASS"
-    assert rep.violation <= 1e-8
+    assert rep.check.verdict == "PASS"
+    assert _violation(rep) <= 1e-8
 
 
 def test_submarkov_constant_decays_near_gamma0(sg_mixed):
@@ -180,6 +185,23 @@ def test_submarkov_evolves_the_constant_first():
     assert max(row[5] for row in rows[1:]) == 0.0
 
 
+def test_submarkov_and_lp_contraction_share_the_strictness_rule():
+    # off a nonobtuse mesh both bounds on P(t) 1 are discrete maximum
+    # principles: each WARNs, neither FAILs; the l^2 rows still pass
+    mesh = build_polygon_mesh(lshape_polygon(), 0.5)
+    part = partition_boundary(mesh, square_side_selector(("left",)))
+    c = CoefficientSet.make()
+    certify(c, mesh)
+    sg = build_semigroup(assemble(mesh, part, c, lump_boundary_mass=True))
+    assert not quality(mesh).nonobtuse
+    sub = submarkov_report(sg, (0.1,), trials=2, seed=1)
+    lp = lp_contraction_report(sg, (0.1,))
+    assert sub.check.verdict == lp.check.verdict == "WARN"
+    assert sub.check.value > sub.check.bound
+    assert lp.check.value > lp.check.bound
+    assert [row[-1] for row in lp.rows] == [False, True, False]
+
+
 def test_submarkov_rejects_negative_potential():
     c = CoefficientSet.make(a0=-10.0)
     sys_ = square_system(n=4, gamma0_sides=("left",), coeffs=c, lumped=True)
@@ -194,8 +216,8 @@ def test_domination_nested_partitions():
     rep = domination_report(build_semigroup(sys_free),
                             build_semigroup(sys_left), T_LIST, trials=20,
                             seed=2)
-    assert rep.verdict == "PASS"
-    assert rep.violation <= 1e-8
+    assert rep.check.verdict == "PASS"
+    assert _violation(rep) <= 1e-8
 
 
 def test_domination_equal_partitions_equal_semigroups():
@@ -235,15 +257,15 @@ def test_potential_monotonicity():
     rep = potential_monotonicity_report(build_semigroup(sys_a),
                                         build_semigroup(sys_b), T_LIST,
                                         trials=20, seed=3)
-    assert rep.verdict == "PASS"
-    assert rep.violation <= 1e-8
+    assert rep.check.verdict == "PASS"
+    assert _violation(rep) <= 1e-8
 
 
 def test_potential_equal_gives_equality():
     sys_a = square_system(n=4, gamma0_sides=("left",), lumped=True)
     sg_a = build_semigroup(sys_a)
     rep = potential_monotonicity_report(sg_a, sg_a, (0.5,), trials=5)
-    assert rep.violation <= 1e-12
+    assert _violation(rep) <= 1e-12
 
 
 def test_potential_rejects_wrong_order():
@@ -257,8 +279,9 @@ def test_potential_rejects_wrong_order():
 
 
 def test_lp_contraction_rows(sg_mixed):
-    rows = lp_contraction_report(sg_mixed, T_LIST)
-    assert all(row[-1] for row in rows)
+    rep = lp_contraction_report(sg_mixed, T_LIST)
+    rows = rep.rows
+    assert all(row[-1] for row in rows) and rep.check.verdict == "PASS"
     by_p = {row[0]: row for row in rows if row[1] == 1.0}
     assert by_p[np.inf][2] <= 1.0 + 1e-8
     assert by_p[1.0][2] <= 1.0 + 1e-8
@@ -274,7 +297,7 @@ def test_lp_two_norm_takes_no_svd(sg_mixed, monkeypatch):
     monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
     monkeypatch.setattr(scipy.linalg, "svd", no_svd)
     monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
-    rows = lp_contraction_report(sg_mixed, T_LIST)
+    rows = lp_contraction_report(sg_mixed, T_LIST).rows
     assert len(rows) == 3 * len(T_LIST) and all(row[-1] for row in rows)
 
 
@@ -283,8 +306,9 @@ def test_lp_two_norm_catches_broken_propagator(sg_mixed):
     modes = sg_mixed.modes.copy()
     modes[:, 0] *= 1.5
     broken = dataclasses.replace(sg_mixed, modes=modes)
-    rows = [row for row in lp_contraction_report(broken, T_LIST)
-            if row[0] == 2.0]
+    rep = lp_contraction_report(broken, T_LIST)
+    assert rep.check.verdict == "FAIL"   # the l^2 bound FAILs on any mesh
+    rows = [row for row in rep.rows if row[0] == 2.0]
     assert len(rows) == len(T_LIST)
     assert not any(row[-1] for row in rows)
     for _p, t, norm, _bound, _ok in rows:
@@ -320,10 +344,10 @@ def test_order_reports_evaluate_no_field(monkeypatch):
         potential_monotonicity_report(sg, build_semigroup(sys_up), (0.5,),
                                       trials=2),
     ]
-    rows = lp_contraction_report(sg, (0.5,))
+    lp = lp_contraction_report(sg, (0.5,))
     assert calls == []
-    assert all(r.verdict == "PASS" for r in reports)
-    assert all(row[-1] for row in rows)
+    assert all(r.check.verdict == "PASS" for r in reports + [lp])
+    assert all(row[-1] for row in lp.rows)
 
 
 def test_order_hypotheses_count_once_and_solve_nothing(monkeypatch):

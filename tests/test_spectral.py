@@ -395,7 +395,8 @@ def test_duality_index_out_of_bounds():
 def test_eigen_curves_monotone():
     sys_ = square_system(n=8, gamma0_sides=("left",))
     curve = eigen_curves(sys_, -10.0, 10.0, 21, 1)
-    assert curve.max_violation <= 1e-8
+    (rise,) = curve.checks
+    assert rise.verdict == "PASS" and rise.value <= 1e-8
     assert np.all(np.diff(curve.values[0]) < 0)  # strictly decreasing here
 
 
@@ -444,8 +445,10 @@ def test_min_max_monotone_in_mu():
 def test_limit_study_cluster_convergence():
     sys_ = square_system(n=8, gamma0_sides=())
     study = dirichlet_limit_study(sys_, 3, [-100.0, -1000.0])
-    assert study.all_gaps_positive
-    assert study.monotone
+    positive, monotone, _rate = study.checks
+    assert positive.verdict == "PASS" and np.all(study.gaps > 0)
+    assert monotone.verdict == "PASS"
+    assert np.all(np.diff(study.gaps, axis=0) < 0)
     # the near-degenerate pair (indices 2, 3) converges as a cluster
     pair_gap = study.gaps[:, 1] + study.gaps[:, 2]
     assert pair_gap[1] < pair_gap[0] / 5
@@ -492,6 +495,8 @@ def test_limit_study_requires_decreasing_negatives():
         dirichlet_limit_study(sys_, 2, [-100.0, -10.0])
     with pytest.raises(ValueError):
         dirichlet_limit_study(sys_, 2, [10.0, -100.0])
+    with pytest.raises(ValueError):     # one mu has no gap to compare
+        dirichlet_limit_study(sys_, 2, [-100.0])
 
 
 def test_match_identical_systems():
@@ -583,7 +588,8 @@ def test_gauge_experiment_smoke():
     study = gauge_experiment(mesh, part, c, radial_bump_diffeo(),
                              refinements=1, k=3, mu_list=(0.0,),
                              lambda_list=(0.0,))
-    assert study.identity_residual <= 1e-10
+    identity = study.checks[2]
+    assert identity.verdict == "PASS" and identity.value <= 1e-10
     assert study.dtn_defects[1] < study.dtn_defects[0]
     assert study.max_gaps[1] < study.max_gaps[0]
 
@@ -594,4 +600,13 @@ def test_gauge_experiment_rejects_nonsymmetric():
     c = CoefficientSet.make(a=((1.0, 0.25), (0.0, 1.0)))
     with pytest.raises(ValueError, match="symmetric"):
         gauge_experiment(mesh, part, c, radial_bump_diffeo(),
-                         refinements=0, k=3, mu_list=(0.0,))
+                         refinements=1, k=3, mu_list=(0.0,))
+
+
+def test_gauge_experiment_needs_a_refinement():
+    # one level has no ratio for the halving checks to judge
+    mesh = build_structured_square(4)
+    part = partition_boundary(mesh, lambda x, y: False)
+    with pytest.raises(ValueError, match="refinements"):
+        gauge_experiment(mesh, part, CoefficientSet.make(),
+                         radial_bump_diffeo(), refinements=0, k=3)
