@@ -2,12 +2,13 @@
 
 Builds the energy-form matrix A, the (consistent) domain mass matrix M
 of density c.rho and the gamma1 boundary mass matrix B on the free
-degrees of freedom.  Free dofs are the mesh vertices not constrained by
-the boundary partition, numbered in vertex order.  Variable coefficients
-are sampled with the edge-midpoint triangle rule (order 2, exact for
-quadratics); boundary edge integration is exact for the P1 product,
-with an optional lumped (trapezoid) variant used by the semigroup
-positivity studies.
+degrees of freedom; the first-order part of A is D + D^T, with D the
+drift term and D^T the codrift term.  Free dofs are the mesh vertices
+not constrained by the boundary partition, numbered in vertex order.
+Variable coefficients are sampled with the edge-midpoint triangle rule
+(order 2, exact for quadratics); boundary edge integration is exact for
+the P1 product, with an optional lumped (trapezoid) variant used by the
+semigroup positivity studies.
 
 A and M share one CSR pattern, computed once per assemble call: every
 pair of free dofs that share a triangle, whatever the coefficients, so
@@ -35,7 +36,7 @@ from .coeffs import (
     _sample_fields,
     quadrature_points,
 )
-from .errors import EmptyInteriorError, SolverError
+from .errors import EmptyInteriorError, HypothesisViolationError, SolverError
 
 __all__ = [
     "AssembledSystem",
@@ -64,10 +65,10 @@ class AssembledSystem:
     dof_map sends a vertex index to its free-dof index, or -1 when the
     vertex is constrained.  boundary_dofs are the free dofs sitting on
     gamma1; interior_dofs is the complement.  samples is the (a, drift,
-    codrift, a0) tuple of coefficient values at the quadrature nodes the
-    system was assembled from, shaped (2, 2, nt, 3), (2, nt, 3),
-    (2, nt, 3) and (nt, 3) (the density rho is not among them); eta and
-    symmetric are the ellipticity certificate of exactly those samples.
+    a0) tuple of coefficient values at the quadrature nodes the system
+    was assembled from, shaped (2, 2, nt, 3), (2, nt, 3) and (nt, 3)
+    (the density rho is not among them); eta and symmetric are the
+    ellipticity certificate of exactly those samples.
 
     The system is frozen: no field can be reassigned after assemble, so
     everything derived from the fields and cached on first use stays
@@ -102,6 +103,11 @@ class AssembledSystem:
     def boundary_dof_vertices(self):
         """Mesh vertex index of each gamma1 boundary dof."""
         return self.free_vertices[self.boundary_dofs]
+
+    def require_symmetric(self):
+        """The one symmetry verdict every solve on a system goes by."""
+        if not self.symmetric:
+            raise HypothesisViolationError("coefficient set is not symmetric")
 
     @cached_property
     def mass(self):
@@ -250,26 +256,26 @@ def assemble(mesh, part, c: CoefficientSet, lump_boundary_mass=False,
     samples = _sample_fields(c, pts[..., 0], pts[..., 1])
     rho = c.rho.eval_batch(pts[..., 0], pts[..., 1])
     eta, symmetric = _certificate([samples])
-    a_q, drift_q, codrift_q, a0_q = samples
+    a_q, drift_q, a0_q = samples
 
     _, area, grads = _triangle_geometry(mesh)
     w = area[:, None] / 3.0                          # (nt, 3) weights
     P = _HATS_AT_MIDPOINTS
 
-    # A_el sums K, D, C and V in place, in the order of the plain sum
-    # K + D + C + V, so each element value is the same; each einsum
+    # A_el sums K, D, D^T and V in place, in the order of the plain sum
+    # K + D + D^T + V, so each element value is the same; each einsum
     # temporary is freed once added
     # mean matrix coefficient per triangle, quadrature-weighted
     abar = np.einsum("q,klTq->Tkl", np.ones(3), a_q) * (area[:, None, None] / 3.0)
     # stiffness: sum_kl abar_kl g_trial[k] g_test[l]
     A_el = np.einsum("Tjk,Tkl,Til->Tij", grads, abar, grads)
     del abar
-    # drift (a_k d_k trial, test) and codrift (trial, ak_k d_k test)
-    dot = np.einsum("kTq,Tjk->Tjq", drift_q, grads)           # (nt, trial, q)
-    A_el += np.einsum("Tq,Tjq,iq->Tij", w, dot, P)
-    dot = np.einsum("kTq,Tik->Tiq", codrift_q, grads)         # (nt, test, q)
-    A_el += np.einsum("Tq,Tiq,jq->Tij", w, dot, P)
-    del dot
+    # drift D = (a_k d_k trial, test); the codrift term is D^T
+    D = np.einsum("Tq,Tjq,iq->Tij", w,
+                  np.einsum("kTq,Tjk->Tjq", drift_q, grads), P)
+    A_el += D
+    A_el += D.transpose(0, 2, 1)
+    del D
     # potential and mass of density rho
     A_el += np.einsum("Tq,iq,jq->Tij", w * a0_q, P, P)
     M_el = np.einsum("Tq,iq,jq->Tij", w * rho, P, P)

@@ -10,7 +10,9 @@ some check FAILed or an error was raised, 2 a usage or configuration
 problem, 0 anything else: only FAIL sets 1.  Every output file
 starts with a comment line carrying the tool version and the hash of
 the fully-resolved configuration, and the resolved configuration is
-written next to the results for reproducibility.
+written next to the results for reproducibility.  The "coefficients"
+keys are the operator's fields (see coeffs): "a" (a_kj), "drift" (a_k,
+also the codrift) and "a0" (a_0).
 """
 
 from __future__ import annotations
@@ -106,13 +108,22 @@ def _json_kind(value):
                  if isinstance(value, types)), "null")
 
 
+def _finite(value):
+    """Whether value holds no NaN or infinite number (json reads both)."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or bool(np.isfinite(value))
+
+
 def _check_kinds(config, defaults, prefix=""):
     """ConfigError unless each key of config is known, by a default or an
-    _OPTIONAL_KINDS entry, and of that JSON kind, nested objects included.
-    Unknown keys of gauge.diffeo are left to its factory, which refuses
-    them."""
+    _OPTIONAL_KINDS entry, of that JSON kind and finite, nested objects
+    included.  Unknown keys of gauge.diffeo are left to its factory,
+    which refuses them."""
     for key, value in config.items():
         name = prefix + key
+        if not _finite(value):
+            raise ConfigError(f"config key {name!r}: must be finite")
         if key in defaults:
             want = _json_kind(defaults[key])
         elif name in _OPTIONAL_KINDS:
@@ -143,8 +154,8 @@ _MINIMA = {"k": 1, "trials": 1, "seed": 0, "lambda_grid.gaps": 1,
 def _check_ranges(config):
     """ConfigError naming the key of a count that is not a whole number at
     least its _MINIMA entry, an empty lambda_grid array or t_grid, a
-    negative t, or a mu_limit that is not at least two strictly
-    decreasing negative numbers."""
+    negative t, a mu_grid whose min is not below its max, or a mu_limit
+    that is not at least two strictly decreasing negative numbers."""
     def out_of_range(name, requirement):
         return ConfigError(f"config key {name!r}: must be {requirement}")
 
@@ -156,6 +167,8 @@ def _check_ranges(config):
             raise out_of_range(name, f"a whole number, at least {low}")
     if config["lambda_grid"] == []:
         raise out_of_range("lambda_grid", "a nonempty array")
+    if config["mu_grid"]["min"] >= config["mu_grid"]["max"]:
+        raise out_of_range("mu_grid.min", "below mu_grid.max")
     mu = config["mu_limit"]
     if len(mu) < 2 or mu[0] >= 0 or any(b >= a for a, b in zip(mu, mu[1:])):
         raise out_of_range("mu_limit", "at least two strictly decreasing "
@@ -171,8 +184,8 @@ def resolve_config(path=None, overrides=None):
     Raises ConfigError when a value's JSON kind (object, array, number,
     string, boolean) differs from its default's, at the top level or
     inside an object, when a numeric array holds anything but numbers
-    (booleans are not numbers), or when a value is out of range
-    (_check_ranges).
+    (booleans are not numbers), when a number is NaN or infinite, or
+    when a value is out of range (_check_ranges).
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -252,7 +265,7 @@ def build_coefficients(config):
     once; an entry that is not an expression, or a list of the wrong
     length, is a ConfigError naming its key."""
     shapes = {"a": (2, 2), "drift": (2,), "a0": ()}
-    return CoefficientSet.from_config({
+    return CoefficientSet.make(**{
         key: _built(f"coefficients.{key}", _field_grid, spec, shapes[key])
         for key, spec in config["coefficients"].items()})
 

@@ -1,16 +1,17 @@
-"""Coefficient sets for symmetric second-order operators, their
-ellipticity certification, and diffeomorphism pullbacks for gauge
-experiments.
+"""Coefficient sets of the operator L_a, their ellipticity
+certification, and diffeomorphism pullbacks for gauge experiments.
 
-A coefficient set holds a 2x2 matrix field a, a drift vector field, a
-codrift vector field, a scalar potential and the density rho of the
-mass form (1 except on a pulled-back set).  All fields are real
-valued, and a set carries no state beyond them.  Certification works
+    L_a u = sum d_k(a_kj d_j u) + sum a_k d_k u - sum d_k(abar_k u) + a_0 u
+
+A CoefficientSet holds the real fields a (a_kj), drift (a_k) and a0
+(a_0), and the density rho of the mass form (1 except on a pulled-back
+set).  The codrift abar_k is fixed by the drift, and for real fields it
+is the drift: codrift is a read-only view of it.  Certification works
 on the field samples at the triangle quadrature nodes of a mesh: it
 returns the worst-case smallest eigenvalue of the symmetrized matrix
-part (eta) together with a symmetry flag.  assemble() certifies the
-samples it assembles from, so a certificate always belongs to the mesh
-it was computed on.
+part (eta) and a symmetry flag, true when a_kj = a_jk at every node.
+assemble() certifies the samples it assembles from, so a certificate
+always belongs to the mesh it was computed on.
 """
 
 from __future__ import annotations
@@ -91,47 +92,29 @@ def _field_grid(spec, shape):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Matrix, drift, codrift and potential fields, and the mass density.
+    """Matrix, drift and potential fields, and the mass density.
 
     The set is immutable and mesh independent: it carries no
     certificate.  Ellipticity is certified per mesh, from samples
     (certify, assemble), of every field but rho.  rho is 1 unless
-    pullback sets it; make and from_config never do, shifted keeps it.
+    pullback sets it; make never does, shifted keeps it.
     """
 
     a: tuple                      # 2x2 of ScalarField
     drift: tuple                  # 2 of ScalarField
-    codrift: tuple                # 2 of ScalarField
     a0: ScalarField
     rho: ScalarField = ScalarField(1.0)
 
-    @classmethod
-    def make(cls, a=((1.0, 0.0), (0.0, 1.0)), drift=(0.0, 0.0),
-             codrift=None, a0=0.0):
-        """Build a set from constants, expression strings or callables.
-
-        codrift defaults to drift (the symmetric realization).
-        """
-        drift_fields = _field_grid(drift, (2,))
-        return cls(
-            a=_field_grid(a, (2, 2)),
-            drift=drift_fields,
-            codrift=drift_fields if codrift is None else _field_grid(codrift, (2,)),
-            a0=ScalarField(a0),
-        )
+    @property
+    def codrift(self):
+        """The codrift abar_k of L_a: the drift itself."""
+        return self.drift
 
     @classmethod
-    def from_config(cls, block: dict):
-        """Parse the JSON coefficient block.
-
-        Keys: "a" (2x2 of expressions), "drift" (2 of expressions),
-        "a0" (expression), or built fields.  Omitted keys default to the
-        identity matrix and zero; codrift is set equal to drift.
-        """
-        a = block.get("a", [["1", "0"], ["0", "1"]])
-        drift = block.get("drift", ["0", "0"])
-        a0 = block.get("a0", "0")
-        return cls.make(a=a, drift=drift, a0=a0)
+    def make(cls, a=((1.0, 0.0), (0.0, 1.0)), drift=(0.0, 0.0), a0=0.0):
+        """Build a set from constants, expressions, callables or fields."""
+        return cls(a=_field_grid(a, (2, 2)), drift=_field_grid(drift, (2,)),
+                   a0=ScalarField(a0))
 
     def shifted(self, delta: float) -> "CoefficientSet":
         """Same set with the potential shifted by a constant."""
@@ -160,46 +143,42 @@ def _sample_fields(c: CoefficientSet, xs, ys):
             for i in range(2)
         ])                                  # (2, 2, ...)
         drift = np.stack([c.drift[k].eval_batch(xs, ys) for k in range(2)])
-        codrift = np.stack([c.codrift[k].eval_batch(xs, ys) for k in range(2)])
         a0 = c.a0.eval_batch(xs, ys)
     except EvalDomainError as exc:
         raise QuadratureError(f"coefficient evaluation failed: {exc}") from exc
-    return a, drift, codrift, a0
+    return a, drift, a0
 
 
 def _certificate(blocks):
     """(eta, symmetric) of sampled fields; NonEllipticError when eta <= 0.
 
-    blocks is an iterable of (a, drift, codrift, a0) tuples of
-    _sample_fields, each over a part of the quadrature nodes.  Each
-    block is reduced to its smallest eigenvalue, largest |a|, largest
-    asymmetries and largest |a0|; eta is the minimum over all blocks, and
+    blocks is an iterable of (a, drift, a0) tuples of _sample_fields,
+    each over a part of the quadrature nodes.  Each block is reduced to
+    its smallest eigenvalue, largest |a|, largest |a_kj - a_jk|, largest
+    |drift| and largest |a0|; eta is the minimum over all blocks, and
     the symmetry tolerance is relative to the largest |a| over all
     blocks, so every split of the nodes gives the bits of a single block.
     A non-finite sample makes one of the largest values non-finite, and
     raises QuadratureError.
     """
-    etas, a_max, a_asym, drift_asym, a0_max = [], [], [], [], []
-    for a, drift, codrift, a0 in blocks:
+    etas, a_asym, largest = [], [], []
+    for a, drift, a0 in blocks:
         s11 = a[0, 0]
         s22 = a[1, 1]
         s12 = 0.5 * (a[0, 1] + a[1, 0])
         half_tr = 0.5 * (s11 + s22)
         radius = np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 ** 2)
         etas.append(np.min(half_tr - radius))
-        a_max.append(np.max(np.abs(a)))
         a_asym.append(np.max(np.abs(a[0, 1] - a[1, 0])))
-        drift_asym.append(np.max(np.abs(drift - codrift)))
-        a0_max.append(np.max(np.abs(a0)))
-    for name, largest in (("a", a_max), ("drift or codrift", drift_asym),
-                          ("a0", a0_max)):
-        if not np.isfinite(np.max(largest)):
+        largest.append([np.max(np.abs(f)) for f in (a, drift, a0)])
+    largest = np.max(largest, axis=0)       # of |a|, |drift|, |a0|
+    for name, value in zip(("a", "drift", "a0"), largest):
+        if not np.isfinite(value):
             raise QuadratureError(
                 f"coefficient {name} has a non-finite quadrature sample")
     eta = float(np.min(etas))
-    scale = 1.0 + float(np.max(a_max))
-    sym = (float(np.max(a_asym)) <= 1e-12 * scale
-           and float(np.max(drift_asym)) <= 1e-12 * scale)
+    scale = 1.0 + float(largest[0])
+    sym = float(np.max(a_asym)) <= 1e-12 * scale
     if eta <= 0.0:
         raise NonEllipticError(
             f"symmetrized matrix coefficient has smallest eigenvalue "
@@ -415,16 +394,15 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
 
         matrix    (DPhi a DPhi^T) / det
         drift     (DPhi drift) / det
-        codrift   (DPhi codrift) / det
         potential a0 / det
         density   rho / det
 
     The density keeps the volume pairing, and with it the whole
     spectral-parameter family, equal to the untransported one.
 
-    The ten fields are slots of one function of the points: it calls
+    The eight fields are slots of one function of the points: it calls
     phi.jacobian_batch once and samples each field of c once, computes
-    all ten values, and keeps them with copies of the points of its
+    all eight values, and keeps them with copies of the points of its
     latest call.  A field evaluated at points equal in value to those
     reads its slot, so sampling the whole set costs one transport.
 
@@ -441,18 +419,17 @@ def pullback(c: CoefficientSet, phi: Diffeo) -> CoefficientSet:
                 and np.array_equal(memo[0][1], ys):
             return memo[0][2]
         J, det = phi.jacobian_batch(xs, ys)
-        a, drift, codrift, a0 = _sample_fields(c, xs, ys)
+        a, drift, a0 = _sample_fields(c, xs, ys)
         rho = c.rho.eval_batch(xs, ys)
         g = J @ np.moveaxis(a, (0, 1), (-2, -1)) @ np.swapaxes(J, -1, -2)
+        Jv = J @ np.moveaxis(drift, 0, -1)[..., None]
         values = [g[..., i, j] / det for i in range(2) for j in range(2)]
-        for v in (drift, codrift):
-            Jv = J @ np.moveaxis(v, 0, -1)[..., None]
-            values += [Jv[..., i, 0] / det for i in range(2)]
+        values += [Jv[..., i, 0] / det for i in range(2)]
         values += [a0 / det, rho / det]
         memo[:] = [(xs.copy(), ys.copy(), values)]
         return values
 
     f = [ScalarField(lambda xs, ys, k=k: transported(xs, ys)[k].copy())
-         for k in range(10)]
+         for k in range(8)]
     return CoefficientSet(a=((f[0], f[1]), (f[2], f[3])), drift=(f[4], f[5]),
-                          codrift=(f[6], f[7]), a0=f[8], rho=f[9])
+                          a0=f[6], rho=f[7])

@@ -87,9 +87,11 @@ def dtn_matrix(sys: AssembledSystem, lam: float) -> DtnMatrix:
     a time with the one factorization of C_II, and C_BI times each
     n_I x _SOLVE_BLOCK solve is subtracted from the matching columns of
     S, so no temporary is larger than n_I x _SOLVE_BLOCK besides S.
-    Raises NearDirichletSpectrumError when C_II is singular or
-    cond_interior exceeds COND_LIMIT.
+    Raises HypothesisViolationError unless sys.symmetric, and
+    NearDirichletSpectrumError when C_II is singular or cond_interior
+    exceeds COND_LIMIT.
     """
+    sys.require_symmetric()
     bd = sys.boundary_dofs
     idx = sys.interior_dofs
     C = (sys.A - lam * sys.M).tocsc()

@@ -78,8 +78,8 @@ class SolverError(DtnLabError):
 
 
 class HypothesisViolationError(DtnLabError):
-    """A precondition of a semigroup order property does not hold for the
-    supplied system (e.g. the Dirichlet operator is not accretive)."""
+    """A precondition does not hold for the supplied system (e.g. it is
+    not symmetric, or its Dirichlet operator is not accretive)."""
 
 
 class ConfigError(DtnLabError):

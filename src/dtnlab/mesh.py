@@ -407,8 +407,8 @@ def build_polygon_mesh(polygon, h_target: float) -> Mesh:
     regular polygons); nonconvex ones are ear clipped.  Boundary edges
     always lie on the polygon and the original corners are kept.
     """
-    if h_target <= 0:
-        raise ValueError("h_target must be positive")
+    if not 0 < h_target < np.inf:
+        raise ValueError("h_target must be positive and finite")
     poly = np.asarray(polygon, dtype=np.float64)
     _validate_simple_polygon(poly)
     if _polygon_signed_area(poly) < 0:

@@ -138,8 +138,7 @@ def check_order_hypotheses(sys: AssembledSystem,
     error: below -ZERO_RTOL * max|A| the operator is not accretive,
     otherwise 0 lies in the discrete Dirichlet spectrum.
     """
-    if not sys.symmetric:
-        raise HypothesisViolationError("coefficient set is not symmetric")
+    sys.require_symmetric()
     if not sys.dirichlet_positive:
         lam1 = sys.dirichlet_lambda1
         tol = ZERO_RTOL * float(np.abs(sys.A).max())
@@ -151,7 +150,7 @@ def check_order_hypotheses(sys: AssembledSystem,
             raise HypothesisViolationError(
                 "0 lies in the discrete Dirichlet spectrum"
             )
-    _a, drift, _codrift, a0 = sys.samples
+    _a, drift, a0 = sys.samples
     if require_nonneg_potential and float(a0.min()) < -_coef_tol(sys):
         raise HypothesisViolationError(
             f"potential must be nonnegative (min {float(a0.min()):.3e})"
@@ -259,7 +258,7 @@ def _same_fields(a: AssembledSystem, b: AssembledSystem,
     The matrix and the drift always, the potential on request; call
     after _same_mesh.
     """
-    fields = (0, 1, 3) if potential else (0, 1)   # a, drift, a0
+    fields = (0, 1, 2) if potential else (0, 1)   # a, drift, a0
     return all(np.array_equal(a.samples[i], b.samples[i]) for i in fields)
 
 
@@ -304,7 +303,7 @@ def potential_monotonicity_report(sg_a: BoundarySemigroup,
         raise ValueError("potential comparison needs the same partition")
     if not _same_fields(sys_a, sys_b, potential=False):
         raise ValueError("matrix coefficient and drift must coincide")
-    if float((sys_b.samples[3] - sys_a.samples[3]).min()) < -_coef_tol(sys_a):
+    if float((sys_b.samples[2] - sys_a.samples[2]).min()) < -_coef_tol(sys_a):
         raise ValueError("potential ordering violated: need b0 >= a0")
     check_order_hypotheses(sys_a, require_zero_drift=True)
     check_order_hypotheses(sys_b, require_zero_drift=True)

@@ -23,6 +23,7 @@ from .assemble import AssembledSystem, assemble, dirichlet_system, robin_matrix
 from .coeffs import CoefficientSet, Diffeo, pullback, validate_diffeo
 from .dtn import dtn_matrix, harmonic_extension
 from .errors import (
+    DtnLabError,
     EmptyInteriorError,
     NotPositiveDefiniteError,
     SolverError,
@@ -436,6 +437,7 @@ def cluster_indices(values):
 
 def dirichlet_spectrum(sys: AssembledSystem, k: int) -> Spectrum:
     """k smallest eigenpairs of the interior (Dirichlet) pencil."""
+    sys.require_symmetric()
     A_D, _ = dirichlet_system(sys)
     return sym_geneig(A_D, sys.dirichlet_mass, k)
 
@@ -446,6 +448,7 @@ def robin_spectrum(sys: AssembledSystem, mu: float, k: int,
 
     shift_hint is passed to sym_geneig.
     """
+    sys.require_symmetric()
     return sym_geneig(robin_matrix(sys, mu), sys.mass, k,
                       shift_hint=shift_hint)
 
@@ -546,15 +549,17 @@ def duality_checks(results):
 def _robin_sweep(sys, mus, k):
     """The k smallest Robin eigenvalues at each mu of a decreasing list.
 
-    They do not decrease as mu decreases, so each smallest eigenvalue is
-    the shift hint of the next solve (an inertia count checks it).
+    Each smallest eigenvalue is the shift hint of the next solve (they
+    do not decrease as mu decreases; an inertia count checks it).  A
+    DtnLabError of a solve is raised as a SolverError naming its mu.
     """
+    sys.require_symmetric()
     rows, hint = [], None
     for mu in mus:
         try:
             rows.append(robin_spectrum(sys, mu, k,
                                        shift_hint=hint).eigenvalues)
-        except Exception as exc:
+        except DtnLabError as exc:
             raise SolverError(
                 f"Robin solve failed at mu={mu}: {exc}") from exc
         hint = float(rows[-1][0])
@@ -699,9 +704,8 @@ def lambda_in_gaps(sys: AssembledSystem, count: int = 3):
 
 
 def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
-                     refinements: int, k: int = 6,
-                     mu_list=(-5.0, 0.0, 5.0),
-                     lambda_list=(0.0,)) -> GaugeStudy:
+                     refinements: int, *, k: int, mu_list,
+                     lambda_list) -> GaugeStudy:
     """Refinement study of a boundary-fixed change of variables.
 
     At each level the original coefficients are assembled on the level
@@ -714,8 +718,8 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     inputs as a baseline.  Before anything is assembled, validate_diffeo
     checks phi on the finest mesh (SingularJacobianError when it moves
     the boundary, folds or disagrees with its Jacobian).  Raises
-    ValueError when the coefficient samples on a level mesh are not
-    symmetric (the transport needs a symmetric set), or refinements < 1.
+    HypothesisViolationError (from dtn_matrix) when the coefficient set
+    is not symmetric, and ValueError when refinements < 1.
     """
     if refinements < 1:
         raise ValueError("a gauge study needs refinements >= 1")
@@ -730,8 +734,6 @@ def gauge_experiment(mesh0, part0, c: CoefficientSet, phi: Diffeo,
     h_list, defects, max_gaps = [], [], []
     for mesh_i, part_i in zip(meshes, parts):
         sysA = assemble(mesh_i, part_i, c)
-        if not sysA.symmetric:
-            raise ValueError("pullback requires a symmetric coefficient set")
         mesh_t = map_vertices(mesh_i, phi.forward)
         sysB = assemble(mesh_t, part_i, b, sample_mesh=mesh_i)
         defects.append(dtn_equality_check(sysA, sysB, lambda_list))

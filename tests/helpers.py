@@ -145,8 +145,7 @@ def coo_assembly(mesh, part, c: CoefficientSet, sample_mesh=None):
     dof_map, free = _free_dof_map(mesh, part)
     n = len(free)
     pts = quadrature_points(mesh if sample_mesh is None else sample_mesh)
-    a_q, drift_q, codrift_q, a0_q = _sample_fields(c, pts[..., 0],
-                                                   pts[..., 1])
+    a_q, drift_q, a0_q = _sample_fields(c, pts[..., 0], pts[..., 1])
     rho = c.rho.eval_batch(pts[..., 0], pts[..., 1])
     _, area, grads = _triangle_geometry(mesh)
     w = area[:, None] / 3.0
@@ -156,7 +155,8 @@ def coo_assembly(mesh, part, c: CoefficientSet, sample_mesh=None):
     K_el = np.einsum("Tjk,Tkl,Til->Tij", grads, abar, grads)
     drift_dot = np.einsum("kTq,Tjk->Tjq", drift_q, grads)
     D_el = np.einsum("Tq,Tjq,iq->Tij", w, drift_dot, P)
-    codrift_dot = np.einsum("kTq,Tik->Tiq", codrift_q, grads)
+    # the codrift term (trial, a_k d_k test), from the drift samples
+    codrift_dot = np.einsum("kTq,Tik->Tiq", drift_q, grads)
     C_el = np.einsum("Tq,Tiq,jq->Tij", w, codrift_dot, P)
     V_el = np.einsum("Tq,iq,jq->Tij", w * a0_q, P, P)
     M_el = np.einsum("Tq,iq,jq->Tij", w * rho, P, P)
@@ -204,7 +204,7 @@ def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
     pts = quadrature_points(mesh)
     xs, ys = pts[..., 0], pts[..., 1]
     J, det = phi.jacobian_batch(xs, ys)
-    g_q, bdrift_q, bcodrift_q, b0_q = _sample_fields(b, xs, ys)
+    g_q, bdrift_q, b0_q = _sample_fields(b, xs, ys)
 
     _, area, grads = _triangle_geometry(mesh)
     w = area[:, None] / 3.0
@@ -223,7 +223,7 @@ def transported_form_value(mesh, part, c: CoefficientSet, phi, u, v,
     gmat = np.moveaxis(g_q, (0, 1), (-2, -1))           # (nt, 3, 2, 2)
     principal = np.einsum("Tqk,Tqkl,Tql->Tq", Gu, gmat, Gv)
     drift_term = np.einsum("kTq,Tqk->Tq", bdrift_q, Gu) * vq
-    codrift_term = np.einsum("kTq,Tqk->Tq", bcodrift_q, Gv) * uq
+    codrift_term = np.einsum("kTq,Tqk->Tq", bdrift_q, Gv) * uq
     potential = (b0_q - lam / det) * uq * vq
 
     integrand = det * (principal + drift_term + codrift_term + potential)

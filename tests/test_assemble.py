@@ -158,12 +158,17 @@ def test_galerkin_consistency_on_linears():
 
 
 def test_drift_consistency():
+    # the codrift term is the drift term transposed, so a drift keeps A
+    # symmetric; an asymmetric matrix coefficient does not
     sym = CoefficientSet.make(drift=("1", "0.5"))
     s1 = square_system(n=3, gamma0_sides=(), coeffs=sym)
     assert np.abs((s1.A - s1.A.T).toarray()).max() <= 1e-13
-    skew = CoefficientSet.make(drift=("1", "0.5"), codrift=("0", "0"))
+    assert s1.symmetric
+    skew = CoefficientSet.make(a=(("1", "0.5"), ("0", "1")),
+                               drift=("1", "0.5"))
     s2 = square_system(n=3, gamma0_sides=(), coeffs=skew)
     assert np.abs((s2.A - s2.A.T).toarray()).max() > 1e-3
+    assert not s2.symmetric
 
 
 def test_nonelliptic_rejected():
@@ -308,7 +313,7 @@ def _transported_case():
 _PATTERN_CASES = {
     "drift_codrift": lambda: _square_case(6, ["left"], CoefficientSet.make(
         a=(("1.5", "0.2*x"), ("0.1", "1")), drift=("0.3*y", "-0.2"),
-        codrift=("0.1", "0.4*x"), a0="0.5")),
+        a0="0.5")),
     "varcoef": lambda: _square_case(40, ["left"], _VARCOEF),
     "lshape": lambda: _polygon_case(lshape_polygon(), 0.25, [0, 3]),
     "ear_clipped": lambda: _polygon_case(

@@ -354,6 +354,24 @@ def test_config_value_of_wrong_json_kind_exits_two(tmp_path, capsys,
     ("gauge", {"gauge": {"refinements": 1.5}}, "gauge.refinements"),
     ("gauge", {"gauge": {"k": 3.5}}, "gauge.k"),
     ("spectrum", {"k": float("inf")}, "k"),
+    # NaN and infinite numbers, which json reads, at any depth
+    ("validate", {"domain": {"type": "lshape", "h": float("nan")}},
+     "domain.h"),
+    ("semigroup", {"t_grid": [float("nan")]}, "t_grid"),
+    ("semigroup", {"t_grid": [0.1, float("inf")]}, "t_grid"),
+    ("curves", {"mu_grid": {"max": float("inf")}}, "mu_grid.max"),
+    ("limit", {"mu_limit": [-100.0, float("-inf")]}, "mu_limit"),
+    ("validate", {"coefficients": {"a0": float("nan")}}, "coefficients.a0"),
+    ("validate", {"domain": {"type": "polygon", "h": 0.5, "vertices": [
+        [0, 0], [1, float("inf")], [0, 1]]}}, "domain.vertices"),
+    ("gauge", {"gauge": {"diffeo": {"type": "twist",
+                                    "alpha": float("nan")}}},
+     "gauge.diffeo.alpha"),
+    # a reversed or empty mu grid
+    ("curves", {"mu_grid": {"min": 5.0, "max": -5.0, "steps": 11}},
+     "mu_grid.min"),
+    ("curves", {"mu_grid": {"min": 5.0, "max": 5.0, "steps": 11}},
+     "mu_grid.min"),
 ])
 def test_config_value_out_of_range_exits_two(tmp_path, capsys, command, bad,
                                              key):
@@ -412,6 +430,24 @@ def test_non_finite_coefficient_samples_exit_one(tmp_path, capsys, command,
     assert "error: coefficient " in captured.err
     assert "non-finite quadrature sample" in captured.err
     assert "eta=" not in captured.out
+
+
+# a constant asymmetry, and one below sym_geneig's 1e-8 matrix
+# tolerance: the system's symmetric flag is the one verdict
+@pytest.mark.parametrize("a01", ["0.25", "1e-10"])
+@pytest.mark.parametrize("command", [name for name in _COMMANDS
+                                     if name != "validate"])
+def test_asymmetric_coefficients_exit_one_with_one_error_line(
+        tmp_path, capsys, command, a01):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        FAST_CONFIG, coefficients={"a": [["1", a01], ["0", "1"]]},
+        gauge={"base_n": 4, "refinements": 1})))
+    assert run([command, "--config", str(path),
+                "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: coefficient set is not symmetric\n"
+    assert "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("bad", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dtnlab.coeffs as coeffs_module
 from dtnlab.assemble import _triangle_geometry, assemble
+from dtnlab.cli import build_coefficients, resolve_config
 from dtnlab.coeffs import (
     CoefficientSet,
     Diffeo,
@@ -68,9 +69,23 @@ def test_certify_detects_asymmetry(mesh8):
     c = CoefficientSet.make(a=((1.0, 0.25), (0.0, 1.0)))
     _eta, sym = certify(c, mesh8)
     assert not sym
-    c2 = CoefficientSet.make(drift=("1", "0"), codrift=("0", "0"))
+    # a variable asymmetry, with a drift; the drift alone leaves a set
+    # symmetric, since its codrift is the drift
+    c2 = CoefficientSet.make(a=(("1", "0.1*x"), ("0.1*y", "1")),
+                             drift=("1", "0"))
     _eta, sym2 = certify(c2, mesh8)
     assert not sym2
+    _eta, sym3 = certify(CoefficientSet.make(drift=("1", "0")), mesh8)
+    assert sym3
+
+
+def test_codrift_is_the_drift(mesh8):
+    with pytest.raises(TypeError):
+        CoefficientSet.make(codrift=("0", "0"))
+    c = CoefficientSet.make(drift=("x", "1"))
+    assert c.codrift is c.drift
+    b = pullback(c, radial_bump_diffeo())
+    assert b.codrift is b.drift
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,7 +115,7 @@ _BLOCK_CASES = {
     "asymmetric": (lambda: build_structured_square(8),
                    lambda: CoefficientSet.make(
                        a=(("2 + x", "0.3*y"), ("-0.1", "1.5 + cos(5*x*y)")),
-                       drift=("x", "0"), codrift=("0", "x*y")),
+                       drift=("x", "x*y")),
                    False),
     # asymmetric by 5e-11, within 1e-12 * (1 + max|a|) only for the
     # largest |a| (101, at x = 0), not for that of the blocks near x = 1
@@ -161,9 +176,8 @@ def _one_bad_node(value):
 
 @pytest.mark.parametrize("name, fields", [
     ("a", dict(a=((_one_bad_node(np.nan), 0.0), (0.0, 1.0)))),
-    ("drift or codrift", dict(drift=(_one_bad_node(np.inf), 0.0))),
-    ("drift or codrift", dict(drift=(0.0, 0.0),
-                              codrift=(0.0, _one_bad_node(-np.inf)))),
+    ("drift", dict(drift=(_one_bad_node(np.inf), 0.0))),
+    ("drift", dict(drift=(0.0, _one_bad_node(-np.inf)))),
     ("a0", dict(a0=_one_bad_node(np.inf))),
 ])
 @pytest.mark.parametrize("block", [7, 10**9])
@@ -182,19 +196,23 @@ def test_certify_memory_stays_bounded_on_a_fine_mesh():
 
 
 def test_from_config_defaults(mesh8):
-    c = CoefficientSet.from_config({})
-    eta, sym = certify(c, mesh8)
-    assert eta == 1.0 and sym
+    # the default config's coefficient block and make's defaults agree
     pts = quadrature_points(mesh8)
-    assert np.all(c.a0.eval_batch(pts[..., 0], pts[..., 1]) == 0.0)
+    for c in (build_coefficients(resolve_config()), CoefficientSet.make()):
+        eta, sym = certify(c, mesh8)
+        assert eta == 1.0 and sym
+        assert np.all(c.a0.eval_batch(pts[..., 0], pts[..., 1]) == 0.0)
+        assert np.all(c.drift[1].eval_batch(pts[..., 0], pts[..., 1]) == 0.0)
 
 
 def test_from_config_expressions(mesh8):
-    c = CoefficientSet.from_config(
-        {"a": [["2", "0"], ["0", "2"]], "a0": "1 + x"})
+    config = resolve_config()
+    config["coefficients"].update(a=[["2", "0"], ["0", "2"]], a0="1 + x",
+                                  drift=["x", "0"])
+    c = build_coefficients(config)
     eta, sym = certify(c, mesh8)
     assert eta == pytest.approx(2.0)
-    assert sym  # codrift defaults to drift
+    assert sym  # the codrift is the drift
 
 
 @pytest.mark.parametrize("delta", [0.1, 1.0 / 3.0, -5.0])
@@ -302,7 +320,7 @@ def test_weak_form_transport_identity(phi_factory, mesh8):
 
 
 def _fields(c):
-    return [*c.a[0], *c.a[1], *c.drift, *c.codrift, c.a0, c.rho]
+    return [*c.a[0], *c.a[1], *c.drift, c.a0, c.rho]
 
 
 def test_pullback_samples_each_field_and_the_jacobian_once(mesh8):
@@ -322,15 +340,13 @@ def test_pullback_samples_each_field_and_the_jacobian_once(mesh8):
            (counted("a10", xy), counted("a11", lambda x, y: 1 + y))),
         drift=(counted("drift0", lambda x, y: x),
                counted("drift1", lambda x, y: y)),
-        codrift=(counted("codrift0", lambda x, y: y),
-                 counted("codrift1", lambda x, y: x)),
         a0=counted("a0", lambda x, y: 1 + x * x))
     phi = radial_bump_diffeo()
     b = pullback(c, Diffeo(phi.forward, counted("jacobian", phi.jacobian)))
     pts = quadrature_points(mesh8)
     coeffs_module._sample_fields(b, pts[..., 0], pts[..., 1])
     assert calls == Counter(["a00", "a01", "a10", "a11", "drift0", "drift1",
-                             "codrift0", "codrift1", "a0", "jacobian"])
+                             "a0", "jacobian"])
 
 
 def test_pullback_fields_follow_their_points(mesh8):
@@ -444,7 +460,7 @@ def test_mass_density_is_one_unless_pulled_back(mesh8):
     pts = quadrature_points(mesh8)
     xs, ys = pts[..., 0], pts[..., 1]
     c, phi = variable_coeffs(), radial_bump_diffeo()
-    for plain in (c, c.shifted(2.0), CoefficientSet.from_config({})):
+    for plain in (c, c.shifted(2.0), CoefficientSet.make()):
         assert np.array_equal(plain.rho.eval_batch(xs, ys), np.ones(xs.shape))
     b = pullback(c, phi)
     _, det = phi.jacobian_batch(xs, ys)

@@ -132,6 +132,13 @@ def test_polygon_rejects_too_few_vertices():
         build_polygon_mesh([(0, 0), (1, 0)], 0.5)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
+def test_polygon_mesh_refuses_a_target_size_that_is_not_positive_and_finite(h):
+    # NaN compared false with every bound and gave the unrefined mesh
+    with pytest.raises(ValueError, match="h_target must be positive"):
+        build_polygon_mesh(lshape_polygon(), h)
+
+
 def test_partition_left_side_counts():
     m = build_structured_square(2)
     part = partition_boundary(m, square_side_selector(["left"]))

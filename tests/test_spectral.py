@@ -14,7 +14,12 @@ from dtnlab import spectral
 from dtnlab.assemble import assemble, dirichlet_system, robin_matrix
 from dtnlab.coeffs import CoefficientSet, certify, radial_bump_diffeo
 from dtnlab.dtn import dtn_matrix, harmonic_extension
-from dtnlab.errors import DtnLabError, NotPositiveDefiniteError, SolverError
+from dtnlab.errors import (
+    DtnLabError,
+    HypothesisViolationError,
+    NotPositiveDefiniteError,
+    SolverError,
+)
 from dtnlab.mesh import build_structured_square, partition_boundary
 from dtnlab.spectral import (
     cluster_indices,
@@ -489,6 +494,16 @@ def test_limit_study_names_the_failed_robin_solve(monkeypatch):
         dirichlet_limit_study(sys_, 2, [-100.0, -1000.0, -10000.0])
 
 
+def test_robin_sweep_wraps_only_package_errors(monkeypatch):
+    # a fault that is not a DtnLabError is a bug, not a failed solve
+    def failing(sys, mu, k, shift_hint=None):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(spectral, "robin_spectrum", failing)
+    with pytest.raises(ZeroDivisionError, match="^a bug$"):
+        dirichlet_limit_study(square_system(n=4), 2, [-100.0, -1000.0])
+
+
 def test_limit_study_requires_decreasing_negatives():
     sys_ = square_system(n=4)
     with pytest.raises(ValueError):
@@ -598,9 +613,11 @@ def test_gauge_experiment_rejects_nonsymmetric():
     mesh = build_structured_square(4)
     part = partition_boundary(mesh, lambda x, y: False)
     c = CoefficientSet.make(a=((1.0, 0.25), (0.0, 1.0)))
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(HypothesisViolationError,
+                       match="coefficient set is not symmetric"):
         gauge_experiment(mesh, part, c, radial_bump_diffeo(),
-                         refinements=1, k=3, mu_list=(0.0,))
+                         refinements=1, k=3, mu_list=(0.0,),
+                         lambda_list=(0.0,))
 
 
 def test_gauge_experiment_needs_a_refinement():
@@ -609,4 +626,5 @@ def test_gauge_experiment_needs_a_refinement():
     part = partition_boundary(mesh, lambda x, y: False)
     with pytest.raises(ValueError, match="refinements"):
         gauge_experiment(mesh, part, CoefficientSet.make(),
-                         radial_bump_diffeo(), refinements=0, k=3)
+                         radial_bump_diffeo(), refinements=0, k=3,
+                         mu_list=(0.0,), lambda_list=(0.0,))
